@@ -21,8 +21,6 @@
 #include "bench_util/printing.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "vcuda/arena.hpp"
-#include "vcuda/residency.hpp"
 #include "vcuda/sim.hpp"
 
 int main(int argc, char** argv) {
@@ -112,25 +110,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Device-memory plane: the same launches that produced the conflict
-    // counters ran through the arena and (when sweeping) the residency
-    // cache, so their allocator-level behavior is reportable here too.
-    {
-      const vcuda::ArenaStats a = vcuda::aggregate_arena_stats();
-      const vcuda::ResidencyStats r = vcuda::aggregate_residency_stats();
-      std::cout << "\ndevice memory:\n"
-                << "  peak modeled footprint: "
-                << (vcuda::peak_modeled_footprint_bytes() >> 20) << " MiB\n"
-                << "  arena: " << a.allocs << " allocs ("
-                << a.reuse_hits << " same-shape reuse, " << a.bump_allocs
-                << " bump, " << a.split_allocs << " split), " << a.regions
-                << " regions / " << (a.region_bytes >> 20) << " MiB, peak live "
-                << (a.peak_live_bytes >> 20) << " MiB, " << a.coalesces
-                << " coalesces\n"
-                << "  residency: " << r.hits << " hits / " << r.misses
-                << " misses, " << r.evictions << " evictions, "
-                << (r.copied_bytes >> 20) << " MiB copied\n";
-    }
+    // Device-memory plane: the capacity model's peak footprint over the
+    // same launches that produced the conflict counters.
+    std::cout << "\ndevice memory:\n"
+              << "  peak modeled footprint: "
+              << (vcuda::peak_modeled_footprint_bytes() >> 20) << " MiB\n";
 
     bench::shape_check(
         "push-style SSSP incurs strictly more same-address atomic conflicts "

@@ -68,8 +68,6 @@
 #include "sched/executor.hpp"
 #include "sched/job_graph.hpp"
 #include "sched/shard.hpp"
-#include "vcuda/arena.hpp"
-#include "vcuda/residency.hpp"
 #include "vcuda/sim.hpp"
 
 namespace {
@@ -113,6 +111,12 @@ std::size_t env_fleet_shards(int fleet_n) {
   // Several shards per worker: small enough that a SIGKILL loses little
   // work, large enough that lease traffic stays negligible.
   return static_cast<std::size_t>(6 * fleet_n);
+}
+
+/// "264 KiB" / "2 MiB" for the device-memory summary lines.
+std::string format_bytes(std::uint64_t bytes) {
+  return bytes >= (1u << 20) ? std::to_string(bytes >> 20) + " MiB"
+                             : std::to_string(bytes >> 10) + " KiB";
 }
 
 /// The canonical journal path, exactly as Harness resolves it.
@@ -212,9 +216,6 @@ std::unique_ptr<CellRun> build_cell_jobs(
     j.timeout_s = timeout_s;
     j.max_retries = retries;
     j.shard_cell = static_cast<std::int64_t>(c);
-    // Same graph -> same home worker: the worker's GraphResidency cache
-    // then serves every later cell on that graph without re-copying.
-    j.affinity = static_cast<std::int64_t>(gi);
     j.work = [&h, v, gi, slot, reps, cr = crp.get(),
               external_progress](const sched::JobContext&) {
       const Graph& g = h.graph(gi);
@@ -310,24 +311,11 @@ SweepOutcome run_dag(bench::Harness& h, std::optional<Model> model,
       if (oom > 0) std::cout << " (" << oom << " OOM-rejected)";
       std::cout << '\n';
       if (m == Model::Cuda) {
-        // Device-memory accounting for the modeled device: the peak modeled
-        // footprint any launch reached, and how often GraphResidency served
-        // a cell's graph from its warm per-worker copy.
-        const vcuda::ResidencyStats rs = vcuda::aggregate_residency_stats();
-        const std::uint64_t peak = vcuda::peak_modeled_footprint_bytes();
-        const std::uint64_t binds = rs.hits + rs.misses;
-        std::cout << "[sweep] cuda device memory: peak modeled footprint ";
-        if (peak >= (1u << 20)) {
-          std::cout << (peak >> 20) << " MiB";
-        } else {
-          std::cout << (peak >> 10) << " KiB";
-        }
-        if (binds > 0) {
-          std::cout << "; residency hits " << rs.hits << '/' << binds << " ("
-                    << 100 * rs.hits / binds << "%), evictions "
-                    << rs.evictions;
-        }
-        std::cout << '\n';
+        // The capacity model's peak: the largest modeled footprint any
+        // cuda cell reached.
+        std::cout << "[sweep] cuda device memory: peak modeled footprint "
+                  << format_bytes(vcuda::peak_modeled_footprint_bytes())
+                  << '\n';
       }
     };
     const sched::JobId agg_id = cr->jg.add(std::move(agg));
@@ -814,32 +802,11 @@ int run_fleet_worker(const std::string& host, std::uint16_t port, int rank,
     eo.worker_label = "w" + std::to_string(rank);
     const auto statuses = sched::Executor(eo).run(cr->jg);
     const SweepOutcome so = finish_cells(h, *cr, statuses);
-    {
-      // Device-memory accounting per finished shard, into the worker log
-      // the coordinator already tails: shows whether this rank's arena and
-      // residency cache stayed warm across its lease.
-      const vcuda::ArenaStats as = vcuda::aggregate_arena_stats();
-      const vcuda::ResidencyStats rs = vcuda::aggregate_residency_stats();
-      std::ostringstream os;
-      // "Warm" = served from an already-mapped region (any of the bump,
-      // free-list, or split paths). Exact free-list hits alone undercount
-      // badly: a clean end-of-run free melts blocks back into virgin bump
-      // space (see DeviceArena::free), so steady-state cells re-bump from
-      // warm regions rather than hit the free list.
-      const std::uint64_t warm =
-          as.allocs > as.region_growths ? as.allocs - as.region_growths : 0;
-      os << "shard [" << spec.begin << ',' << spec.end
-         << ") mem: arena warm allocs " << warm << '/' << as.allocs
-         << ", residency hits " << rs.hits << '/' << (rs.hits + rs.misses)
-         << ", peak footprint ";
-      const std::uint64_t pk = vcuda::peak_modeled_footprint_bytes();
-      if (pk >= (1u << 20)) {
-        os << (pk >> 20) << " MiB";
-      } else {
-        os << (pk >> 10) << " KiB";
-      }
-      wo.log(os.str());
-    }
+    // Device-memory accounting per finished shard, into the worker log the
+    // coordinator already tails.
+    wo.log("shard [" + std::to_string(spec.begin) + ',' +
+           std::to_string(spec.end) + ") mem: peak footprint " +
+           format_bytes(vcuda::peak_modeled_footprint_bytes()));
     fleet::ShardOutcome so2;
     so2.executed = so.executed;
     so2.hits = so.hits;

@@ -15,7 +15,6 @@
 #include "sched/job_graph.hpp"
 #include "threading/thread_team.hpp"
 #include "variants/register_all.hpp"
-#include "vcuda/residency.hpp"
 #include "vcuda/sim.hpp"
 
 namespace indigo::bench {
@@ -186,24 +185,6 @@ Measurement Harness::measure_one(const Variant& v, const Graph& g,
   }
   const RunOptions opts = base_run_options(device);
   Measurement m;
-  // Cuda variants read their graph through the thread's residency cache:
-  // consecutive cells on the same graph reuse the resident copy instead of
-  // touching a cold mapping. Invisible to the model — Device::array
-  // translates the pointers before assigning recording bases — so journal
-  // bytes are identical with residency on or off.
-  struct ResidencyGuard {
-    bool active = false;
-    ~ResidencyGuard() {
-      if (active) vcuda::thread_residency().unbind();
-    }
-  } residency_guard;
-  if (v.model == Model::Cuda && vcuda::residency_enabled()) {
-    const auto spans = device_buffer_spans(g);
-    vcuda::thread_residency().bind(
-        reinterpret_cast<std::uintptr_t>(static_cast<const void*>(&g)),
-        spans);
-    residency_guard.active = true;
-  }
   try {
     m = measure(v, g, opts, reps, verifier_for(g));
   } catch (const vcuda::DeviceOomError& ex) {
@@ -249,14 +230,11 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   struct Pair {
     const Variant* v;
     const Graph* g;
-    std::size_t gi;  // graph index, the scheduler's affinity key
   };
   std::vector<Pair> pairs;
   for (const Variant* v : selected) {
     if (opts.style_filter && !opts.style_filter(*v)) continue;
-    for (std::size_t gi = 0; gi < graphs_.size(); ++gi) {
-      pairs.push_back({v, &graphs_[gi], gi});
-    }
+    for (const Graph& g : graphs_) pairs.push_back({v, &g});
   }
 
   SweepStats stats;
@@ -303,9 +281,6 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
           p.v->model == Model::Cuda && !obs::enabled() && !racecheck::enabled()
               ? sched::ExecClass::ModelTimed
               : sched::ExecClass::WallClock;
-      // Same-graph jobs seed onto the same worker so its residency cache
-      // (and arena shapes) stay warm across consecutive cells.
-      j.affinity = static_cast<std::int64_t>(p.gi);
       j.timeout_s = timeout_s;
       j.max_retries = retries;
       j.work = [this, i, &slots, &pairs, &opts,

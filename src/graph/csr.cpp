@@ -27,11 +27,6 @@ std::size_t Graph::size_bytes() const {
          weights_.size() * sizeof(weight_t);
 }
 
-std::vector<std::span<const std::byte>> device_buffer_spans(const Graph& g) {
-  return {std::as_bytes(g.row_index()), std::as_bytes(g.col_index()),
-          std::as_bytes(g.src_list()), std::as_bytes(g.weights())};
-}
-
 void Graph::validate() const {
   if (row_index_.empty()) {
     throw std::invalid_argument("row_index must have >= 1 entry");

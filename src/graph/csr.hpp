@@ -87,15 +87,6 @@ class Graph {
   std::string name_ = "empty";
 };
 
-/// The graph's device-facing buffers as raw byte spans, in the canonical
-/// wrap order (row_index, col_index, src_list, weights). This is the set a
-/// vcuda::GraphResidency entry caches: every vcuda variant wraps some
-/// subset of exactly these buffers, so translating them covers all graph
-/// reads. Defined here (not in src/vcuda) so the simulator keeps zero
-/// dependency on the graph layer.
-[[nodiscard]] std::vector<std::span<const std::byte>> device_buffer_spans(
-    const Graph& g);
-
 /// Accumulates (u, v, w) arcs and produces a canonical Graph.
 ///
 /// add_undirected() inserts both directions. finish() sorts each adjacency

@@ -10,7 +10,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <thread>
 #include <utility>
 
@@ -242,28 +241,13 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
     ~SectionGuard() { obs::telemetry_unregister_section("executor"); }
   } section_guard;
 
-  // Seed the frontier across the workers' deques. Jobs without an affinity
-  // key go round-robin; jobs sharing one are steered to a common home
-  // worker (first-seen affinity takes the next round-robin slot), so a
-  // sweep's same-graph cells land on one thread and its per-thread caches
-  // (arena free-list shapes, GraphResidency copies) stay warm. Deterministic
-  // for a fixed job order and worker count; stealing may still rebalance.
+  // Seed the frontier round-robin across the workers' deques; stealing
+  // rebalances from there.
   {
     int w = 0;
-    std::unordered_map<std::int64_t, std::size_t> home;
     for (JobId j = 0; j < n; ++j) {
       if (rs.unmet[j] != 0) continue;
-      const std::int64_t aff = graph.job(j).affinity;
-      std::size_t target;
-      if (aff < 0) {
-        target = static_cast<std::size_t>(w++ % workers_);
-      } else if (auto it = home.find(aff); it != home.end()) {
-        target = it->second;
-      } else {
-        target = static_cast<std::size_t>(w++ % workers_);
-        home.emplace(aff, target);
-      }
-      rs.queues[target].push_back(j);
+      rs.queues[static_cast<std::size_t>(w++ % workers_)].push_back(j);
     }
   }
 

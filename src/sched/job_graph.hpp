@@ -67,12 +67,6 @@ struct Job {
   /// (shard.hpp): a worker process rebuilds the enumeration locally and
   /// runs only the cells inside its leased [begin, end) range.
   std::int64_t shard_cell = -1;
-  /// Data-locality key, or -1 for none. Jobs sharing an affinity value are
-  /// seeded onto the same worker's deque (sweeps use the graph index), so a
-  /// worker's per-thread caches — the device-memory arena's free-list
-  /// shapes and the GraphResidency copies — stay warm run-to-run. Advisory:
-  /// work stealing may still migrate jobs when a worker runs dry.
-  std::int64_t affinity = -1;
 };
 
 enum class JobState : std::uint8_t {

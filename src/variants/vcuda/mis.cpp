@@ -8,10 +8,11 @@
 // and (push style) a final strided region knocks the neighbours out.
 // Edge-based MIS is a two-kernel-per-round pipeline (arc scan + vertex
 // decision), thread granularity only.
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "variants/vcuda/vc_common.hpp"
-#include "vcuda/arena.hpp"
 
 namespace indigo::variants::vc {
 namespace {
@@ -28,37 +29,36 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
   const vid_t n = g.num_vertices();
   const eid_t m = g.num_edges();
 
-  vcuda::DeviceBuffer<std::uint32_t> st_a(n, kMisUndecided), st_b;
+  std::vector<std::uint32_t> st_a(n, kMisUndecided), st_b;
   auto row = dev.array(g.row_index());
   auto col = dev.array(g.col_index());
   auto srcl = dev.array(g.src_list());
-  auto cur = dev.array(st_a.span());
+  auto cur = dev.array(std::span(st_a));
   auto nxt = cur;
   if constexpr (kDet) {
     st_b.assign(n, kMisUndecided);  // st_a is still all-undecided here
-    nxt = dev.array(st_b.span());
+    nxt = dev.array(std::span(st_b));
   }
 
-  vcuda::DeviceBuffer<std::uint32_t> blocked_h;
+  std::vector<std::uint32_t> blocked_h;
   vcuda::DeviceArray<std::uint32_t> blocked;
   if constexpr (kEdge) {
     blocked_h.assign(n, 0);
-    blocked = dev.array(blocked_h.span());
+    blocked = dev.array(std::span(blocked_h));
   }
 
-  vcuda::DeviceBuffer<std::uint32_t> wl_a, wl_b, stat_h, size_h(1, 0),
-      flag_h(1, 0);
+  std::vector<std::uint32_t> wl_a, wl_b, stat_h, size_h(1, 0), flag_h(1, 0);
   vcuda::DeviceArray<std::uint32_t> wl_in, wl_out, stat;
-  auto wl_size = dev.array(size_h.span());
-  auto changed = dev.array(flag_h.span());
+  auto wl_size = dev.array(std::span(size_h));
+  auto changed = dev.array(std::span(flag_h));
   std::uint32_t in_size = 0;
   if constexpr (kData) {
     wl_a.resize(n);
     wl_b.resize(n);
-    wl_in = dev.array(wl_a.span());
-    wl_out = dev.array(wl_b.span());
+    wl_in = dev.array(std::span(wl_a));
+    wl_out = dev.array(std::span(wl_b));
     stat_h.assign(n, 0);
-    stat = dev.array(stat_h.span());
+    stat = dev.array(std::span(stat_h));
     const std::uint32_t grid = grid_for<Granularity::Thread, C.pers>(dev, n);
     dev.launch(grid, kBD, [&](vcuda::Block& blk) {
       if (use_lane_loop()) {

@@ -9,9 +9,10 @@
 // PR is vertex-based, topology-driven, and classic-atomics-only (no float
 // cuda::atomic, Section 5.1).
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "variants/vcuda/vc_common.hpp"
-#include "vcuda/arena.hpp"
 
 namespace indigo::variants::vc {
 namespace {
@@ -29,12 +30,12 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
   auto col = dev.array(g.col_index());
 
   const float base = static_cast<float>((1.0 - kPrDamping) / n);
-  vcuda::DeviceBuffer<float> rank_a(n, 1.0f / static_cast<float>(n)), rank_b;
-  auto cur = dev.array(rank_a.span());
+  std::vector<float> rank_a(n, 1.0f / static_cast<float>(n)), rank_b;
+  auto cur = dev.array(std::span(rank_a));
   auto nxt = cur;
   if constexpr (kDet || kPush) {
     rank_b.assign(n, 1.0f / static_cast<float>(n));  // rank_a is untouched yet
-    nxt = dev.array(rank_b.span());
+    nxt = dev.array(std::span(rank_b));
   } else {
     // Pull + non-deterministic updates ranks in place: plain stores of
     // fresh values that move non-monotonically between sweeps while
@@ -43,8 +44,8 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
     dev.declare_racy(rank_a.data(), rank_a.size() * sizeof(float));
   }
 
-  vcuda::DeviceBuffer<double> res_h(1, 0.0);
-  auto res = dev.array(res_h.span());
+  std::vector<double> res_h(1, 0.0);
+  auto res = dev.array(std::span(res_h));
 
   // Folds `delta` into the residual with the reduction style under study.
   // `slot` is this thread's shared-memory accumulator, `block_ctr` the

@@ -8,10 +8,11 @@
 // inside a kernel so the simulated clock charges it.
 #pragma once
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "variants/vcuda/vc_common.hpp"
-#include "vcuda/arena.hpp"
 
 namespace indigo::variants::vc {
 
@@ -30,27 +31,24 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
   const eid_t m = g.num_edges();
   const vid_t source = opts.source;
 
-  // Device-resident data. Host buffers stand in for device allocations
-  // (DeviceBuffer routes them through the per-thread arena, zero-filled
-  // exactly like the vectors they replaced); every kernel-side access is
-  // accounted by the simulator.
-  vcuda::DeviceBuffer<std::uint32_t> val_a(n), val_b;
+  // Device-resident data. Host buffers stand in for device allocations;
+  // every kernel-side access is accounted by the simulator.
+  std::vector<std::uint32_t> val_a(n), val_b;
   auto row = dev.array(g.row_index());
   auto col = dev.array(g.col_index());
   auto srcl = dev.array(g.src_list());
   auto wts = dev.array(g.weights());
-  auto cur = dev.array(val_a.span());
+  auto cur = dev.array(std::span(val_a));
   auto nxt = cur;
   if constexpr (kDet) {
     val_b.resize(n);
-    nxt = dev.array(val_b.span());
+    nxt = dev.array(std::span(val_b));
   }
 
-  vcuda::DeviceBuffer<std::uint32_t> wl_a, wl_b, stat_h, size_h(1, 0),
-      flag_h(1, 0);
+  std::vector<std::uint32_t> wl_a, wl_b, stat_h, size_h(1, 0), flag_h(1, 0);
   vcuda::DeviceArray<std::uint32_t> wl_in, wl_out, stat;
-  auto wl_size = dev.array(size_h.span());
-  auto changed = dev.array(flag_h.span());
+  auto wl_size = dev.array(std::span(size_h));
+  auto changed = dev.array(std::span(flag_h));
   std::uint32_t wl_cap = 0;
   std::uint32_t in_size = 0;
   if constexpr (kData) {
@@ -63,11 +61,11 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
     // sweep (which writes all m or n items) never writes out of bounds.
     wl_cap = opts.wl_cap_override != 0 ? std::min(opts.wl_cap_override, cap32)
                                        : cap32;
-    wl_in = dev.array(wl_a.span());
-    wl_out = dev.array(wl_b.span());
+    wl_in = dev.array(std::span(wl_a));
+    wl_out = dev.array(std::span(wl_b));
     if constexpr (kNoDup) {
       stat_h.assign(n, 0);
-      stat = dev.array(stat_h.span());
+      stat = dev.array(std::span(stat_h));
     }
   }
 

@@ -9,8 +9,10 @@
 // through the three GPU reduction styles of paper Listing 10. TC uses only
 // an atomic add on shared data, which is why its Atomic/CudaAtomic ratios
 // are the mildest in Figure 1.
+#include <span>
+#include <vector>
+
 #include "variants/vcuda/vc_common.hpp"
-#include "vcuda/arena.hpp"
 
 namespace indigo::variants::vc {
 namespace {
@@ -28,8 +30,8 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
   auto col = dev.array(g.col_index());
   auto srcl = dev.array(g.src_list());
 
-  vcuda::DeviceBuffer<std::uint64_t> count_h(1, 0);
-  auto count = dev.array(count_h.span());
+  std::vector<std::uint64_t> count_h(1, 0);
+  auto count = dev.array(std::span(count_h));
 
   // Serial merge intersection counting common neighbours > v of u and v.
   auto merge_count = [&](vcuda::Thread& t, vid_t u, vid_t v) {

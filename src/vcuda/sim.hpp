@@ -49,8 +49,8 @@ class DeviceArray;
 /// device footprint past DeviceSpec::memory_bytes — the simulator's
 /// cudaMalloc failure. Deterministic: the footprint is derived purely from
 /// wrap order and buffer sizes (the virtual-base arithmetic), never from
-/// host heap state, so a program OOMs identically in every process and with
-/// the host arena on or off. The harness records it as a validity outcome.
+/// host heap state, so a program OOMs identically in every process. The
+/// harness records it as a validity outcome.
 class DeviceOomError : public std::runtime_error {
  public:
   DeviceOomError(std::uint64_t requested_bytes, std::uint64_t footprint_bytes,
@@ -77,14 +77,6 @@ class DeviceOomError : public std::runtime_error {
  private:
   std::uint64_t requested_bytes_, footprint_bytes_, capacity_bytes_;
 };
-
-/// Defined in residency.cpp: maps a graph buffer's host pointer to its
-/// device-resident copy when the calling thread has an active
-/// GraphResidency binding, else returns the pointer unchanged. Device::array
-/// calls it before the virtual-base lookup, so a resident graph keeps the
-/// same wrap order and sizes (hence the same modeled time and journal
-/// bytes) as a freshly wrapped one.
-[[nodiscard]] const void* residency_translate(const void* p);
 
 /// Folds one device's modeled footprint into the process-wide peak
 /// (atomic max). Device::array calls it whenever the footprint grows.
@@ -1295,15 +1287,7 @@ class Device {
   /// chain identity through either wrapper is preserved.
   template <typename T>
   DeviceArray<T> array(std::span<T> data) {
-    // A graph buffer bound through GraphResidency reads from its resident
-    // copy instead of the caller's span. The substitution happens before
-    // the vbase lookup, so wrap order, sizes, and pointer distinctness —
-    // everything modeled time depends on — are unchanged.
-    const void* host = residency_translate(static_cast<const void*>(data.data()));
-    if (host != static_cast<const void*>(data.data())) {
-      data = std::span<T>(
-          const_cast<T*>(static_cast<const T*>(host)), data.size());
-    }
+    const void* host = static_cast<const void*>(data.data());
     std::uint64_t vb = 0;
     for (const auto& [p, b] : vbases_) {
       if (p == host) {
