@@ -1,0 +1,160 @@
+// Study digest: every registered cuda variant on the five level-0 study
+// inputs and both device presets, pinned against tests/data/sim_digest.txt.
+// One line per (program | graph | device): the raw bits of the modeled
+// seconds, the iteration count, the converged flag and an FNV-1a hash of
+// the output. A refactor of the interpreter or of a kernel cannot move any
+// modeled number of the study without this test noticing.
+//
+// The digest detects changes; it is not an independent oracle. When a
+// change is meant to move modeled numbers, review the diff of the actual
+// digest (written next to the test binary on a mismatch) and accept it
+// with the printed `cp` command.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <exception>
+#include <fstream>
+#include <iostream>
+#include <iterator>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/registry.hpp"
+#include "core/runner.hpp"
+#include "graph/generate.hpp"
+#include "variants/register_all.hpp"
+#include "vcuda/device_spec.hpp"
+
+namespace indigo {
+namespace {
+
+/// FNV-1a over the output fields, in a fixed order: labels, count, rank
+/// bits (each value little-endian, byte by byte).
+class Fnv1a {
+ public:
+  void add(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t output_hash(const AlgoOutput& out) {
+  Fnv1a h;
+  for (std::uint32_t l : out.labels) h.add(l, 4);
+  h.add(out.count, 8);
+  for (float r : out.ranks) h.add(std::bit_cast<std::uint32_t>(r), 4);
+  return h.value();
+}
+
+std::string digest_line(const Variant& v, const Graph& g,
+                        const vcuda::DeviceSpec& dev) {
+  const std::string key = v.name + '|' + g.name() + '|' + dev.name;
+  RunOptions opts;
+  opts.source = 0;
+  opts.device = &dev;
+  try {
+    const RunResult r = v.run(g, opts);
+    char buf[96];
+    std::snprintf(buf, sizeof buf, " %016" PRIx64 " %" PRIu64 " %d %016" PRIx64,
+                  std::bit_cast<std::uint64_t>(r.seconds), r.iterations,
+                  r.converged ? 1 : 0, output_hash(r.output));
+    return key + buf;
+  } catch (const std::exception& e) {
+    return key + " error " + e.what();
+  }
+}
+
+/// The digest of the current build, sorted.
+std::vector<std::string> actual_digest() {
+  variants::register_all_variants();
+  // Level-0 study inputs at explicit scales (independent of REPRO_SCALE).
+  const std::vector<Graph> graphs = {
+      make_input(InputClass::Grid2d, 8), make_input(InputClass::CoPaper, 7),
+      make_input(InputClass::Rmat, 8), make_input(InputClass::Social, 8),
+      make_input(InputClass::RoadNet, 8)};
+  const std::vector<vcuda::DeviceSpec> devices = {vcuda::rtx3090_like(),
+                                                  vcuda::titanv_like()};
+  const auto cuda = Registry::instance().select(Model::Cuda, std::nullopt);
+
+  struct Cell {
+    const Variant* v;
+    const Graph* g;
+    const vcuda::DeviceSpec* d;
+  };
+  std::vector<Cell> cells;
+  for (const Variant* v : cuda)
+    for (const Graph& g : graphs)
+      for (const vcuda::DeviceSpec& d : devices) cells.push_back({v, &g, &d});
+
+  std::vector<std::string> lines(cells.size());
+  std::atomic<std::size_t> next{0};
+  const unsigned workers =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  std::vector<std::thread> pool;
+  for (unsigned w = 0; w < workers; ++w) {
+    pool.emplace_back([&] {
+      for (std::size_t i = next++; i < cells.size(); i = next++) {
+        lines[i] = digest_line(*cells[i].v, *cells[i].g, *cells[i].d);
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(SimDigest, EveryCudaVariantMatchesCheckedInDigest) {
+  const std::string expected_path = INDIGO_SIM_DIGEST_FILE;
+  const std::string actual_path = INDIGO_SIM_DIGEST_ACTUAL;
+  const std::vector<std::string> actual = actual_digest();
+  ASSERT_FALSE(actual.empty());
+  const std::vector<std::string> expected = read_lines(expected_path);
+  if (actual == expected) return;
+
+  {
+    std::ofstream out(actual_path);
+    for (const std::string& line : actual) out << line << '\n';
+  }
+  std::vector<std::string> only_expected, only_actual;
+  std::set_difference(expected.begin(), expected.end(), actual.begin(),
+                      actual.end(), std::back_inserter(only_expected));
+  std::set_difference(actual.begin(), actual.end(), expected.begin(),
+                      expected.end(), std::back_inserter(only_actual));
+  std::cerr << "[digest] " << only_expected.size() << " expected and "
+            << only_actual.size() << " actual lines differ (of "
+            << expected.size() << " / " << actual.size() << ")\n";
+  constexpr std::size_t kShow = 10;
+  for (std::size_t i = 0; i < std::min(kShow, only_expected.size()); ++i)
+    std::cerr << "  - " << only_expected[i] << '\n';
+  for (std::size_t i = 0; i < std::min(kShow, only_actual.size()); ++i)
+    std::cerr << "  + " << only_actual[i] << '\n';
+  std::cerr << "[digest] full actual digest: " << actual_path << '\n'
+            << "[digest] if the change is intended, accept it with:\n"
+            << "  cp " << actual_path << ' ' << expected_path << '\n';
+  ADD_FAILURE() << "modeled outputs differ from " << expected_path;
+}
+
+}  // namespace
+}  // namespace indigo
