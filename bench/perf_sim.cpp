@@ -4,20 +4,18 @@
 // interpreter can push simulated accesses through the recorder (BENCH_sweep:
 // scheduling 3470 model-timed jobs across workers bought 0.985x on one core —
 // the hot path IS the study's scaling axis). This binary times that hot path
-// in isolation: six kernels spanning the paper's style axes (push/pull x
-// vertex/edge BFS + PR, plus a worklist-tail hotspot) over an R-MAT input.
+// in isolation: eight kernels spanning the paper's style axes (push/pull x
+// vertex/edge BFS + PR, a MIS-style scan, a sequenced edge relaxation and a
+// worklist-tail hotspot) over an R-MAT input. The kernels are written in the
+// lane-loop form the variant kernels use (Block::for_each_warp: a warp's
+// lanes advance together through SoA state, divergence is a 64-bit mask
+// word, and each *_warp accessor records a whole lane batch at once; see
+// WarpCtx in vcuda/sim.hpp).
 //
-// Every kernel exists in two forms that issue the exact same lane-level
-// access sequence:
-//   per-lane   — the legacy for_each_thread path: one scalar Thread at a
-//                time, one record() call per access;
-//   lane-loop  — the de-SPMD for_each_warp path: a warp's lanes advance
-//                together through SoA state, divergence is a 64-bit mask
-//                word, and each *_warp accessor records a whole lane batch
-//                at once (see WarpCtx in vcuda/sim.hpp).
-// Both are timed and reported side by side; the aggregate line (and the
-// baseline gate) score the lane-loop engine, which is what the real variant
-// kernels run on where they can.
+// Integrity check: every launch must record exactly the lane-level access
+// count the kernel's entry states analytically (LaunchStats::lane_accesses);
+// a mismatch means the kernel no longer performs the access sequence its
+// ns/access figure is computed over, and the run exits 1.
 //
 // Flags:
 //   --scale=N        log2 vertex count of the R-MAT input (default 14)
@@ -70,22 +68,20 @@ std::uint32_t grid_for(std::uint64_t items) {
 
 /// Times `reps` launches of `kernel(dev)`; every launch must issue
 /// `accesses_per_launch` lane-level accesses over `edges_per_launch` edges.
-/// Pass accesses_per_launch = 0 for kernels whose access count is
-/// data-dependent: the measured LaunchStats::lane_accesses of the warm-up
-/// launch is used instead (the workloads are value-stable across sweeps).
+/// The result's lane_accesses is the measured LaunchStats::lane_accesses of
+/// the first launch that deviates from that count, or the count itself.
 template <typename K>
 KernelResult time_kernel(const std::string& name, const vcuda::DeviceSpec& spec,
                          int reps, std::uint64_t accesses_per_launch,
                          std::uint64_t edges_per_launch, K&& kernel) {
   vcuda::Device dev(spec);
   kernel(dev);  // warm-up: page in buffers, size the recorder arena
-  const std::uint64_t measured = dev.last_stats().lane_accesses;
-  if (accesses_per_launch == 0) accesses_per_launch = measured;
+  std::uint64_t measured = dev.last_stats().lane_accesses;
   // Per-rep timing with a best-of-N estimate: the simulator is
   // deterministic, so every rep does identical work and the minimum rep is
   // the run least disturbed by scheduler jitter. Timing all reps in one
   // block instead would hand the whole measurement to whichever rep a
-  // context switch landed on (observed ±15% twin-ratio swings).
+  // context switch landed on (observed ±15% swings).
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
@@ -93,6 +89,8 @@ KernelResult time_kernel(const std::string& name, const vcuda::DeviceSpec& spec,
     const double s =
         std::chrono::duration<double>(Clock::now() - t0).count();
     best = std::min(best, s);
+    if (measured == accesses_per_launch)
+      measured = dev.last_stats().lane_accesses;
   }
   const double wall = best * reps;
   KernelResult res;
@@ -174,7 +172,7 @@ int main(int argc, char** argv) {
   const eid_t e = g.num_edges();
   const vcuda::DeviceSpec spec = vcuda::rtx3090_like();
   std::cout << "[perf_sim] " << g.name() << ": " << n << " vertices, " << e
-            << " arcs, " << reps << " sweeps per kernel per engine\n";
+            << " arcs, " << reps << " sweeps per kernel\n";
 
   // Host-side state the kernels touch. The relaxations run to convergence
   // quickly, but atomic_min/ld record the same accesses whether or not the
@@ -195,44 +193,21 @@ int main(int argc, char** argv) {
   auto src_span = std::span<vid_t>(const_cast<vid_t*>(g.src_list().data()),
                                    g.src_list().size());
 
-  std::vector<KernelResult> lane_loop;   // for_each_warp engine (gated)
-  std::vector<KernelResult> per_lane;    // legacy for_each_thread engine
-
-  // Runs one kernel through both engines back to back so ambient machine
-  // noise hits both measurements alike.
-  auto bench_pair = [&](const std::string& name, std::uint64_t accesses,
-                        std::uint64_t edges, auto&& legacy, auto&& lane) {
-    per_lane.push_back(
-        time_kernel(name, spec, reps, accesses, edges, legacy));
-    lane_loop.push_back(time_kernel(name, spec, reps, accesses, edges, lane));
+  std::vector<KernelResult> results;
+  auto bench = [&](const std::string& name, std::uint64_t accesses,
+                   std::uint64_t edges, auto&& kernel) {
+    results.push_back(time_kernel(name, spec, reps, accesses, edges, kernel));
   };
 
   // --- BFS push, vertex granularity: ld row[2] + per edge ld col +
-  // atomic_min(dist) — the Listing 2a shape. The lane-loop twin walks the
-  // ragged adjacency lists in lockstep: `live` drops a lane's bit once its
-  // edge cursor passes its row end (divergence as mask arithmetic).
-  bench_pair(
+  // atomic_min(dist) — the Listing 2a shape. The warp walks the ragged
+  // adjacency lists in lockstep: `live` drops a lane's bit once its edge
+  // cursor passes its row end (divergence as mask arithmetic).
+  bench(
       "bfs_push_vertex",
       /*accesses=*/static_cast<std::uint64_t>(n) * 3 +
           static_cast<std::uint64_t>(e) * 2,
       /*edges=*/e,
-      [&](vcuda::Device& dev) {
-        auto row = dev.array(row_span);
-        auto col = dev.array(col_span);
-        auto d = dev.array(std::span<std::uint32_t>(dist));
-        dev.launch(grid_for(n), kBD, [&](vcuda::Block& blk) {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            const std::uint32_t v = t.gidx();
-            if (v >= n) return;
-            const std::uint32_t dv = d.ld(t, v);
-            const eid_t lo = row.ld(t, v), hi = row.ld(t, v + 1);
-            for (eid_t i = lo; i < hi; ++i) {
-              const vid_t u = col.ld(t, i);
-              d.atomic_min(t, u, dv + 1);
-            }
-          });
-        });
-      },
       [&](vcuda::Device& dev) {
         auto row = dev.array(row_span);
         auto col = dev.array(col_span);
@@ -259,29 +234,10 @@ int main(int argc, char** argv) {
 
   // --- BFS pull, vertex granularity: per edge ld col + ld dist, then one
   // plain store — all-load coalescing traffic (Listing 3a shape).
-  bench_pair(
+  bench(
       "bfs_pull_vertex",
       static_cast<std::uint64_t>(n) * 4 + static_cast<std::uint64_t>(e) * 2,
       e,
-      [&](vcuda::Device& dev) {
-        auto row = dev.array(row_span);
-        auto col = dev.array(col_span);
-        auto d = dev.array(std::span<std::uint32_t>(dist));
-        dev.launch(grid_for(n), kBD, [&](vcuda::Block& blk) {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            const std::uint32_t v = t.gidx();
-            if (v >= n) return;
-            std::uint32_t best = d.ld(t, v);
-            const eid_t lo = row.ld(t, v), hi = row.ld(t, v + 1);
-            for (eid_t i = lo; i < hi; ++i) {
-              const vid_t u = col.ld(t, i);
-              const std::uint32_t du = d.ld(t, u);
-              if (du != 0xffffffffu && du + 1 < best) best = du + 1;
-            }
-            d.st(t, v, best);
-          });
-        });
-      },
       [&](vcuda::Device& dev) {
         auto row = dev.array(row_span);
         auto col = dev.array(col_span);
@@ -313,25 +269,10 @@ int main(int argc, char** argv) {
       });
 
   // --- BFS push, edge granularity: coalesced COO loads + scattered
-  // atomic_min (Listing 2b shape). The per-lane guard `ds != inf` becomes a
-  // mask refinement in the lane-loop twin.
-  bench_pair(
+  // atomic_min (Listing 2b shape). The guard `ds != inf` is a mask
+  // refinement; the earlier BFS kernels leave every arc source finite.
+  bench(
       "bfs_push_edge", static_cast<std::uint64_t>(e) * 4, e,
-      [&](vcuda::Device& dev) {
-        auto src = dev.array(src_span);
-        auto dst = dev.array(col_span);
-        auto d = dev.array(std::span<std::uint32_t>(dist));
-        dev.launch(grid_for(e), kBD, [&](vcuda::Block& blk) {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            const std::uint32_t i = t.gidx();
-            if (i >= e) return;
-            const vid_t s = src.ld(t, i);
-            const vid_t u = dst.ld(t, i);
-            const std::uint32_t ds = d.ld(t, s);
-            if (ds != 0xffffffffu) d.atomic_min(t, u, ds + 1);
-          });
-        });
-      },
       [&](vcuda::Device& dev) {
         auto src = dev.array(src_span);
         auto dst = dev.array(col_span);
@@ -355,29 +296,10 @@ int main(int argc, char** argv) {
       });
 
   // --- PR pull, vertex granularity: gather contributions, plain store.
-  bench_pair(
+  bench(
       "pr_pull_vertex",
       static_cast<std::uint64_t>(n) * 3 + static_cast<std::uint64_t>(e) * 2,
       e,
-      [&](vcuda::Device& dev) {
-        auto row = dev.array(row_span);
-        auto col = dev.array(col_span);
-        auto r = dev.array(std::span<float>(rank));
-        auto c = dev.array(std::span<float>(contrib));
-        dev.launch(grid_for(n), kBD, [&](vcuda::Block& blk) {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            const std::uint32_t v = t.gidx();
-            if (v >= n) return;
-            float sum = 0;
-            const eid_t lo = row.ld(t, v), hi = row.ld(t, v + 1);
-            for (eid_t i = lo; i < hi; ++i) {
-              const vid_t u = col.ld(t, i);
-              sum += c.ld(t, u);
-            }
-            r.st(t, v, 0.15f / static_cast<float>(n) + 0.85f * sum);
-          });
-        });
-      },
       [&](vcuda::Device& dev) {
         auto row = dev.array(row_span);
         auto col = dev.array(col_span);
@@ -410,23 +332,8 @@ int main(int argc, char** argv) {
 
   // --- PR push, edge granularity: coalesced COO loads + scattered
   // atomic_add into ranks (the contended RMW style).
-  bench_pair(
+  bench(
       "pr_push_edge", static_cast<std::uint64_t>(e) * 4, e,
-      [&](vcuda::Device& dev) {
-        auto src = dev.array(src_span);
-        auto dst = dev.array(col_span);
-        auto r = dev.array(std::span<float>(rank));
-        auto c = dev.array(std::span<float>(contrib));
-        dev.launch(grid_for(e), kBD, [&](vcuda::Block& blk) {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            const std::uint32_t i = t.gidx();
-            if (i >= e) return;
-            const vid_t s = src.ld(t, i);
-            const vid_t u = dst.ld(t, i);
-            r.atomic_add(t, u, c.ld(t, s));
-          });
-        });
-      },
       [&](vcuda::Device& dev) {
         auto src = dev.array(src_span);
         auto dst = dev.array(col_span);
@@ -449,36 +356,24 @@ int main(int argc, char** argv) {
 
   // --- MIS-style warp-granularity scan: one warp per vertex, lanes stride
   // the neighbourhood, and a lane that sees an "In" neighbour leaves the
-  // walk early — the ragged data-dependent-break shape the migrated MIS
-  // region B runs through edge_walk. Access count is data-dependent (the
-  // breaks), so both engines report their measured count and the twin gate
-  // checks they agree. `state` is never written: every sweep is identical.
+  // walk early — the ragged data-dependent-break shape MIS region B runs
+  // through edge_walk. `state` is never written: every sweep is identical,
+  // and the access count follows from a host replay of the breaks.
   std::vector<std::uint32_t> mis_state(n);
   for (std::uint32_t i = 0; i < n; ++i) mis_state[i] = (i % 5 == 0) ? 1u : 0u;
-  bench_pair(
-      "mis_scan_warp", /*accesses=*/0, e,
-      [&](vcuda::Device& dev) {
-        auto row = dev.array(row_span);
-        auto col = dev.array(col_span);
-        auto st = dev.array(std::span<std::uint32_t>(mis_state));
-        dev.launch(grid_for(static_cast<std::uint64_t>(n) * 32), kBD,
-                   [&](vcuda::Block& blk) {
-                     blk.for_each_thread([&](vcuda::Thread& t) {
-                       const std::uint32_t v = t.gidx() / 32;
-                       if (v >= n) return;
-                       const eid_t lo = row.ld(t, v);
-                       const eid_t hi = row.ld(t, v + 1);
-                       for (eid_t i = lo + static_cast<eid_t>(t.lane());
-                            i < hi; i += 32) {
-                         const vid_t u = col.ld(t, i);
-                         if (st.ld(t, u) == 1u) {
-                           t.work(1.0);
-                           break;
-                         }
-                       }
-                     });
-                   });
-      },
+  std::uint64_t mis_accesses = 0;
+  for (vid_t v = 0; v < n; ++v) {
+    const eid_t lo = g.row_index()[v], hi = g.row_index()[v + 1];
+    for (eid_t l = 0; l < 32; ++l) {
+      mis_accesses += 2;  // row[v], row[v + 1]
+      for (eid_t i = lo + l; i < hi; i += 32) {
+        mis_accesses += 2;  // col[i], state[u]
+        if (mis_state[g.col_index()[i]] == 1u) break;
+      }
+    }
+  }
+  bench(
+      "mis_scan_warp", mis_accesses, e,
       [&](vcuda::Device& dev) {
         auto row = dev.array(row_span);
         auto col = dev.array(col_span);
@@ -518,27 +413,15 @@ int main(int argc, char** argv) {
   // (writes land in dist2), so every sweep issues identical accesses.
   std::vector<std::uint32_t> dist2(n, 0xffffffffu);
   std::vector<std::uint32_t> seq_flag(1, 0);
-  bench_pair(
-      "sssp_edge_seq", /*accesses=*/0, e,
-      [&](vcuda::Device& dev) {
-        auto src = dev.array(src_span);
-        auto dst = dev.array(col_span);
-        auto d = dev.array(std::span<std::uint32_t>(dist));
-        auto d2 = dev.array(std::span<std::uint32_t>(dist2));
-        auto fl = dev.array(std::span<std::uint32_t>(seq_flag));
-        dev.launch(grid_for(e), kBD, [&](vcuda::Block& blk) {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            const std::uint32_t i = t.gidx();
-            if (i >= e) return;
-            const vid_t s = src.ld(t, i);
-            const vid_t u = dst.ld(t, i);
-            const std::uint32_t ds = d.ld(t, s);
-            if (ds == 0xffffffffu) return;
-            d2.atomic_min(t, u, ds + 1);
-            if ((ds & 7u) == 0u) fl.st(t, 0, 1u);
-          });
-        });
-      },
+  std::uint64_t seq_accesses = 0;
+  for (eid_t i = 0; i < e; ++i) {
+    const std::uint32_t ds = dist[g.src_list()[i]];
+    seq_accesses += 3;  // src[i], dst[i], dist[s]
+    if (ds == 0xffffffffu) continue;
+    seq_accesses += (ds & 7u) == 0u ? 2 : 1;  // fetch_min (+ flag store)
+  }
+  bench(
+      "sssp_edge_seq", seq_accesses, e,
       [&](vcuda::Device& dev) {
         auto src = dev.array(src_span);
         auto dst = dev.array(col_span);
@@ -572,19 +455,10 @@ int main(int argc, char** argv) {
 
   // --- Worklist-tail hotspot: every thread bumps one shared cursor — the
   // maximally serialized same-address chain (note_atomic_chain's worst
-  // case, one unit per warp after aggregation). The lane-loop twin hits the
-  // warp-uniform short-circuit in the batched accounting.
-  bench_pair(
+  // case, one unit per warp after aggregation). It hits the warp-uniform
+  // short-circuit in the batched accounting.
+  bench(
       "wl_tail_hotspot", static_cast<std::uint64_t>(n), n,
-      [&](vcuda::Device& dev) {
-        auto tail = dev.array(std::span<std::uint32_t>(wl_tail));
-        dev.launch(grid_for(n), kBD, [&](vcuda::Block& blk) {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            if (t.gidx() >= n) return;
-            tail.atomic_add(t, 0, 1u);
-          });
-        });
-      },
       [&](vcuda::Device& dev) {
         auto tail = dev.array(std::span<std::uint32_t>(wl_tail));
         dev.launch(grid_for(n), kBD, [&](vcuda::Block& blk) {
@@ -602,80 +476,47 @@ int main(int argc, char** argv) {
         });
       });
 
-  // Per-kernel comparison, then the aggregate over the lane-loop engine
-  // (the engine the migrated variant kernels run on).
-  std::printf("[perf_sim] %-16s %12s %12s %9s\n", "kernel",
-              "per-lane", "lane-loop", "speedup");
-  double lane_wall = 0, legacy_wall = 0;
-  double ragged_lane_wall = 0, ragged_legacy_wall = 0;
+  std::printf("[perf_sim] %-16s %10s %14s\n", "kernel", "ns/access",
+              "lane accesses");
+  double wall = 0;
   std::uint64_t total_accesses = 0, total_edges = 0;
-  bool twin_divergence = false;
-  // The kernels whose inner loops walk ragged adjacency lists (the shapes
-  // the de-SPMD migration targets); the flat elementwise/hotspot kernels
-  // are excluded from the ragged speedup aggregate.
-  auto is_ragged = [](const std::string& name) {
-    return name == "bfs_push_vertex" || name == "bfs_pull_vertex" ||
-           name == "pr_pull_vertex" || name == "mis_scan_warp";
-  };
-  for (std::size_t i = 0; i < lane_loop.size(); ++i) {
-    const KernelResult& lk = per_lane[i];
-    const KernelResult& wk = lane_loop[i];
-    legacy_wall += lk.wall_s;
-    lane_wall += wk.wall_s;
-    if (is_ragged(wk.name)) {
-      ragged_legacy_wall += lk.wall_s;
-      ragged_lane_wall += wk.wall_s;
-    }
-    total_accesses += wk.accesses;
-    total_edges += wk.sim_edges;
-    std::printf("[perf_sim] %-16s %7.1f ns/a %7.1f ns/a %8.2fx\n",
-                wk.name.c_str(), lk.ns_per_access, wk.ns_per_access,
-                wk.wall_s > 0 ? lk.wall_s / wk.wall_s : 0.0);
-    // Twin integrity gate: both engines of a pair must issue the exact
-    // same number of lane-level accesses — a divergence means one body no
-    // longer performs the access sequence the other is being compared to.
-    if (lk.lane_accesses != wk.lane_accesses) {
+  bool access_mismatch = false;
+  for (const KernelResult& k : results) {
+    wall += k.wall_s;
+    total_accesses += k.accesses;
+    total_edges += k.sim_edges;
+    std::printf("[perf_sim] %-16s %10.1f %14llu\n", k.name.c_str(),
+                k.ns_per_access, static_cast<unsigned long long>(k.lane_accesses));
+    const std::uint64_t analytic = k.accesses / k.launches;
+    if (k.lane_accesses != analytic) {
       std::fprintf(stderr,
-                   "[perf_sim] FAIL: twin '%s' access divergence: "
-                   "per-lane %llu vs lane-loop %llu per launch\n",
-                   wk.name.c_str(),
-                   static_cast<unsigned long long>(lk.lane_accesses),
-                   static_cast<unsigned long long>(wk.lane_accesses));
-      twin_divergence = true;
+                   "[perf_sim] FAIL: '%s' recorded %llu lane accesses in a "
+                   "launch, analytic count is %llu\n",
+                   k.name.c_str(),
+                   static_cast<unsigned long long>(k.lane_accesses),
+                   static_cast<unsigned long long>(analytic));
+      access_mismatch = true;
     }
   }
-  const double ragged_speedup =
-      ragged_lane_wall > 0 ? ragged_legacy_wall / ragged_lane_wall : 0.0;
-  std::printf("[perf_sim] ragged twins aggregate: %.2fx lane-loop speedup\n",
-              ragged_speedup);
   const double agg_aps =
-      lane_wall > 0 ? static_cast<double>(total_accesses) / lane_wall : 0;
+      wall > 0 ? static_cast<double>(total_accesses) / wall : 0;
   const double agg_eps =
-      lane_wall > 0 ? static_cast<double>(total_edges) / lane_wall : 0;
+      wall > 0 ? static_cast<double>(total_edges) / wall : 0;
   std::printf(
-      "[perf_sim] aggregate (lane-loop): %.3fs wall, %.2f Maccesses/s, "
-      "%.2f Msimedges/s (per-lane engine: %.3fs, %.2fx overall)\n",
-      lane_wall, agg_aps / 1e6, agg_eps / 1e6, legacy_wall,
-      lane_wall > 0 ? legacy_wall / lane_wall : 0.0);
+      "[perf_sim] aggregate: %.3fs wall, %.2f Maccesses/s, %.2f Msimedges/s\n",
+      wall, agg_aps / 1e6, agg_eps / 1e6);
 
   std::ofstream json(json_path);
   json.precision(6);
   json << "{\n  \"graph\": \"" << g.name() << "\",\n  \"vertices\": " << n
        << ",\n  \"arcs\": " << e << ",\n  \"reps\": " << reps
-       << ",\n  \"kernels_per_lane\": [\n";
-  emit_kernel_array(json, per_lane);
-  json << "  ],\n  \"kernels\": [\n";
-  emit_kernel_array(json, lane_loop);
+       << ",\n  \"kernels\": [\n";
+  emit_kernel_array(json, results);
   // "aggregate" (the gated metric) must stay the LAST accesses_per_s key in
   // the file: the baseline reader takes the final occurrence.
-  json << "  ],\n  \"per_lane_aggregate\": {\"wall_s\": " << legacy_wall
-       << ", \"accesses_per_s\": "
-       << (legacy_wall > 0 ? static_cast<double>(total_accesses) / legacy_wall
-                           : 0)
-       << "},\n  \"aggregate\": {\"wall_s\": " << lane_wall
+  json << "  ],\n  \"aggregate\": {\"wall_s\": " << wall
        << ", \"accesses_per_s\": " << agg_aps
-       << ", \"sim_edges_per_s\": " << agg_eps
-       << ", \"ragged_speedup\": " << ragged_speedup << "}\n}\n";
+       << ", \"sim_edges_per_s\": " << agg_eps << "}\n}\n";
   std::cout << "[perf_sim] wrote " << json_path << '\n';
 
   if (!baseline_path.empty()) {
@@ -694,6 +535,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (twin_divergence) return 1;
+  if (access_mismatch) return 1;
   return 0;
 }

@@ -74,20 +74,6 @@ namespace {
 
 using namespace indigo;
 
-int env_retries() {
-  if (const char* env = std::getenv("INDIGO_SCHED_RETRIES")) {
-    return std::max(0, std::atoi(env));
-  }
-  return 1;
-}
-
-double env_timeout_s() {
-  if (const char* env = std::getenv("INDIGO_SCHED_TIMEOUT_S")) {
-    return std::max(0.0, std::atof(env));
-  }
-  return 0;
-}
-
 double env_lease_s() {
   if (const char* env = std::getenv("INDIGO_FLEET_LEASE_S")) {
     const double v = std::atof(env);
@@ -117,12 +103,6 @@ std::size_t env_fleet_shards(int fleet_n) {
 std::string format_bytes(std::uint64_t bytes) {
   return bytes >= (1u << 20) ? std::to_string(bytes >> 20) + " MiB"
                              : std::to_string(bytes >> 10) + " KiB";
-}
-
-/// The canonical journal path, exactly as Harness resolves it.
-std::string canonical_journal_path() {
-  if (const char* env = std::getenv("REPRO_CACHE")) return env;
-  return "repro_cache.csv";
 }
 
 /// Progress line for the executor's monitor thread. On a terminal the line
@@ -178,8 +158,8 @@ std::unique_ptr<CellRun> build_cell_jobs(
   auto crp = std::make_unique<CellRun>();
   CellRun& cr = *crp;
   const std::size_t num_graphs = h.num_graphs();
-  const int retries = env_retries();
-  const double timeout_s = env_timeout_s();
+  const int retries = bench::env_retries();
+  const double timeout_s = bench::env_timeout_s();
 
   // Stage 1: one materialization job per graph the range touches.
   // Model-timed class: generation is not a reported measurement, so it may
@@ -405,7 +385,7 @@ FleetRunResult run_fleet(int fleet_n, bool kill_one,
                          bool smoke) {
   FleetRunResult out;
   const auto t0 = std::chrono::steady_clock::now();
-  const std::string canonical = canonical_journal_path();
+  const std::string canonical = bench::env_journal_path();
   if (canonical.empty()) {
     std::cerr << "[fleet] fleet mode needs a journal: REPRO_CACHE must name "
                  "a file (empty keeps results in memory, which cannot be "

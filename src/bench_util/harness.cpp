@@ -50,7 +50,18 @@ std::string device_name_of(const Variant& v, const vcuda::DeviceSpec* device) {
              : "cpu";
 }
 
-/// Sweep-level robustness knobs (documented in docs/SWEEP_RUNTIME.md).
+/// opts.workers == -1 defers to INDIGO_SCHED_WORKERS, where 0 selects the
+/// plain sequential loop and unset means "scheduler with its default pool".
+int resolve_sweep_workers(int requested) {
+  if (requested >= 0) return requested;
+  if (const char* env = std::getenv("INDIGO_SCHED_WORKERS")) {
+    return std::max(0, std::atoi(env));
+  }
+  return sched::Executor::resolve_workers(0);
+}
+
+}  // namespace
+
 int env_retries() {
   if (const char* env = std::getenv("INDIGO_SCHED_RETRIES")) {
     return std::max(0, std::atoi(env));
@@ -65,17 +76,10 @@ double env_timeout_s() {
   return 0;  // measurements have no deadline unless asked for
 }
 
-/// opts.workers == -1 defers to INDIGO_SCHED_WORKERS, where 0 selects the
-/// plain sequential loop and unset means "scheduler with its default pool".
-int resolve_sweep_workers(int requested) {
-  if (requested >= 0) return requested;
-  if (const char* env = std::getenv("INDIGO_SCHED_WORKERS")) {
-    return std::max(0, std::atoi(env));
-  }
-  return sched::Executor::resolve_workers(0);
+std::string env_journal_path() {
+  const char* env = std::getenv("REPRO_CACHE");
+  return env != nullptr ? env : "repro_cache.csv";
 }
-
-}  // namespace
 
 Harness::Harness() : Harness(DeferGraphs{}) {
   for (std::size_t i = 0; i < graphs_.size(); ++i) materialize_graph(i);
@@ -87,9 +91,7 @@ Harness::Harness(DeferGraphs) {
   graphs_.resize(std::size(kAllInputs));
   materialized_.assign(graphs_.size(), false);
   verifiers_.resize(graphs_.size());
-  const char* env = std::getenv("REPRO_CACHE");
-  store_ = std::make_unique<sched::ResultStore>(
-      env != nullptr ? env : "repro_cache.csv");
+  store_ = std::make_unique<sched::ResultStore>(env_journal_path());
 }
 
 void Harness::materialize_graph(std::size_t i) {

@@ -31,6 +31,17 @@
 
 namespace indigo::bench {
 
+/// Sweep robustness knobs (docs/SWEEP_RUNTIME.md), parsed only here:
+/// attempts after the first for a failing measurement (INDIGO_SCHED_RETRIES,
+/// default 1) and the per-attempt deadline in seconds
+/// (INDIGO_SCHED_TIMEOUT_S, default 0 = none).
+int env_retries();
+double env_timeout_s();
+
+/// The measurement journal's path: REPRO_CACHE, else "repro_cache.csv" in
+/// the working directory; an empty string keeps results in memory only.
+std::string env_journal_path();
+
 struct SweepOptions {
   std::optional<Model> model;
   std::optional<Algorithm> algo;
@@ -62,9 +73,8 @@ struct SweepStats {
 class Harness {
  public:
   /// Registers all variants, generates the study inputs at their default
-  /// scales, and opens the journaled measurement store (path from
-  /// REPRO_CACHE, else "repro_cache.csv" in the working directory; empty
-  /// string keeps results in memory only).
+  /// scales, and opens the journaled measurement store at
+  /// env_journal_path().
   Harness();
 
   /// Deferred mode: everything except the graphs, which materialize on

@@ -61,25 +61,16 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
     stat = dev.array(std::span(stat_h));
     const std::uint32_t grid = grid_for<Granularity::Thread, C.pers>(dev, n);
     dev.launch(grid, kBD, [&](vcuda::Block& blk) {
-      if (use_lane_loop()) {
-        blk.for_each_warp([&](vcuda::WarpCtx& w) {
-          for_items_warp<C.pers>(
-              w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
-                vcuda::LaneVec<std::uint32_t> vals;
-                w.for_lanes(mask, [&](int l) {
-                  vals[l] = vbase + static_cast<std::uint32_t>(l);
-                });
-                wl_in.st_warp_c(w, mask, vbase, vals.v);
+      blk.for_each_warp([&](vcuda::WarpCtx& w) {
+        for_items_warp<C.pers>(
+            w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
+              vcuda::LaneVec<std::uint32_t> vals;
+              w.for_lanes(mask, [&](int l) {
+                vals[l] = vbase + static_cast<std::uint32_t>(l);
               });
-        });
-      } else {
-        blk.for_each_thread([&](vcuda::Thread& t) {
-          for_items<Granularity::Thread, C.pers>(
-              t, n, [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                wl_in.st(t, v, v);
-              });
-        });
-      }
+              wl_in.st_warp_c(w, mask, vbase, vals.v);
+            });
+      });
     });
     in_size = n;
   }
@@ -98,23 +89,14 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
     if constexpr (kDet) {
       const std::uint32_t grid = grid_for<Granularity::Thread, C.pers>(dev, n);
       dev.launch(grid, kBD, [&](vcuda::Block& blk) {
-        if (use_lane_loop()) {
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
-                  vcuda::LaneVec<std::uint32_t> vals;
-                  cur.ld_warp_c(w, mask, vbase, vals.v);
-                  nxt.st_warp_c(w, mask, vbase, vals.v);
-                });
-          });
-        } else {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            for_items<Granularity::Thread, C.pers>(
-                t, n, [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                  nxt.st(t, v, cur.ld(t, v));
-                });
-          });
-        }
+        blk.for_each_warp([&](vcuda::WarpCtx& w) {
+          for_items_warp<C.pers>(
+              w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
+                vcuda::LaneVec<std::uint32_t> vals;
+                cur.ld_warp_c(w, mask, vbase, vals.v);
+                nxt.st_warp_c(w, mask, vbase, vals.v);
+              });
+        });
       });
     }
 
@@ -150,46 +132,33 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
       // lane-loop form just refines the live mask after each load.
       const std::uint32_t grid2 = grid_for<Granularity::Thread, C.pers>(dev, n);
       dev.launch(grid2, kBD, [&](vcuda::Block& blk) {
-        if (use_lane_loop()) {
-          using WO = WOps<C.alib>;
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, n, [&](vcuda::WarpCtx::Mask m0, std::uint32_t vbase) {
-                  vcuda::LaneVec<std::uint32_t> v, sv;
-                  w.for_lanes(m0, [&](int l) {
-                    v[l] = vbase + static_cast<std::uint32_t>(l);
-                  });
-                  WO::ld(w, m0, cur, v.v, sv.v);
-                  const auto m1 = w.where(
-                      m0, [&](int l) { return sv[l] == kMisUndecided; });
-                  WO::ld(w, m1, nxt, v.v, sv.v);
-                  const auto m2 = w.where(
-                      m1, [&](int l) { return sv[l] == kMisUndecided; });
-                  WO::ld(w, m2, blocked, v.v, sv.v);
-                  const auto m3 =
-                      w.where(m2, [&](int l) { return sv[l] != itr; });
-                  vcuda::LaneVec<std::uint32_t> in, one, zero;
-                  w.for_lanes(m3, [&](int l) {
-                    in[l] = kMisIn;
-                    one[l] = 1u;
-                    zero[l] = 0u;
-                  });
-                  WO::st(w, m3, nxt, v.v, in.v);
-                  WO::st(w, m3, changed, zero.v, one.v);
+        using WO = WOps<C.alib>;
+        blk.for_each_warp([&](vcuda::WarpCtx& w) {
+          for_items_warp<C.pers>(
+              w, n, [&](vcuda::WarpCtx::Mask m0, std::uint32_t vbase) {
+                vcuda::LaneVec<std::uint32_t> v, sv;
+                w.for_lanes(m0, [&](int l) {
+                  v[l] = vbase + static_cast<std::uint32_t>(l);
                 });
-          });
-        } else {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            for_items<Granularity::Thread, C.pers>(
-                t, n, [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                  if (O::ld(t, cur, v) != kMisUndecided) return;
-                  if (O::ld(t, nxt, v) != kMisUndecided) return;
-                  if (O::ld(t, blocked, v) == itr) return;
-                  O::st(t, nxt, v, kMisIn);
-                  O::st(t, changed, 0, 1u);
+                WO::ld(w, m0, cur, v.v, sv.v);
+                const auto m1 = w.where(
+                    m0, [&](int l) { return sv[l] == kMisUndecided; });
+                WO::ld(w, m1, nxt, v.v, sv.v);
+                const auto m2 = w.where(
+                    m1, [&](int l) { return sv[l] == kMisUndecided; });
+                WO::ld(w, m2, blocked, v.v, sv.v);
+                const auto m3 =
+                    w.where(m2, [&](int l) { return sv[l] != itr; });
+                vcuda::LaneVec<std::uint32_t> in, one, zero;
+                w.for_lanes(m3, [&](int l) {
+                  in[l] = kMisIn;
+                  one[l] = 1u;
+                  zero[l] = 0u;
                 });
-          });
-        }
+                WO::st(w, m3, nxt, v.v, in.v);
+                WO::st(w, m3, changed, zero.v, one.v);
+              });
+        });
       });
     } else if constexpr (kGran == Granularity::Thread) {
       const std::uint32_t items = kData ? in_size : n;
@@ -272,38 +241,137 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
         auto blkd = blk.shared_array<std::uint32_t>(groups_per_block);
         auto entered = blk.shared_array<std::uint32_t>(groups_per_block);
         for (std::uint32_t batch = 0; batch < batches; ++batch) {
-          // Lane-loop twin of the four-region pipeline below. Region B's
-          // data-dependent break (a lane that sees an In neighbour leaves
-          // the scan) maps onto edge_walk's mask refinement: the body drops
-          // those lanes from the returned live mask at the end of the
-          // round, which is exactly where the per-lane break takes effect.
-          // The shared-flag publishes are free (unrecorded) and the
-          // conditional t.work(1) is a charge-only suffix, so every round's
+          // Region A resets the group's flags, B scans the neighbourhood,
+          // C lets the leader decide and D (push) knocks the neighbours out.
+          // B's data-dependent break (a lane that sees an In neighbour
+          // leaves the scan) maps onto edge_walk's mask refinement: the body
+          // drops those lanes from the returned live mask at the end of the
+          // round. The shared-flag publishes are free (unrecorded) and the
+          // conditional work(1) is a charge-only suffix, so every round's
           // recorded ops stay batch-aligned.
-          if (use_lane_loop()) {
-            using WO = WOps<C.alib>;
-            const auto warp_item = [&](vcuda::WarpCtx& w, std::uint32_t& gib) {
-              gib = kWarpG ? w.tid(0) / kWS : 0;
-              const std::uint32_t group_global =
-                  kWarpG ? w.gidx_base() / kWS : w.block_idx();
-              return group_global + batch * groups_total;
-            };
-            // Region A: reset flags (leaders).
-            blk.for_each_warp([&](vcuda::WarpCtx& w) {
-              std::uint32_t gib = 0;
-              (void)warp_item(w, gib);
-              if (!kWarpG && w.tid(0) != 0) return;
-              has_in[gib] = 0;
-              blkd[gib] = 0;
-              entered[gib] = 0;
-              w.work(vcuda::WarpCtx::Mask{1}, 3);
+          using WO = WOps<C.alib>;
+          const auto warp_item = [&](vcuda::WarpCtx& w, std::uint32_t& gib) {
+            gib = kWarpG ? w.tid(0) / kWS : 0;
+            const std::uint32_t group_global =
+                kWarpG ? w.gidx_base() / kWS : w.block_idx();
+            return group_global + batch * groups_total;
+          };
+          // Region A: reset flags (leaders).
+          blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            std::uint32_t gib = 0;
+            (void)warp_item(w, gib);
+            if (!kWarpG && w.tid(0) != 0) return;
+            has_in[gib] = 0;
+            blkd[gib] = 0;
+            entered[gib] = 0;
+            w.work(vcuda::WarpCtx::Mask{1}, 3);
+          });
+          blk.sync();
+          // Region B: strided neighbourhood scan (ragged edge walk).
+          blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            std::uint32_t gib = 0;
+            const std::uint32_t item = warp_item(w, gib);
+            if (item >= items) return;
+            const vcuda::WarpCtx::Mask all = w.full();
+            vcuda::LaneVec<std::uint32_t> vv, sv;
+            std::uint32_t v;
+            if constexpr (kData) {
+              w.for_lanes(all, [&](int l) { vv[l] = item; });
+              wl_in.ld_warp(w, all, vv.v, sv.v);
+              v = sv[0];
+            } else {
+              v = item;
+            }
+            w.for_lanes(all, [&](int l) { vv[l] = v; });
+            WO::ld(w, all, cur, vv.v, sv.v);
+            if (sv[0] != kMisUndecided) return;  // warp-uniform guard
+            vcuda::LaneVec<std::uint32_t> beg, fin;
+            row.ld_warp(w, all, vv.v, beg.v);
+            w.for_lanes(all, [&](int l) { vv[l] = v + 1; });
+            row.ld_warp(w, all, vv.v, fin.v);
+            vcuda::LaneVec<std::uint32_t> e;
+            w.for_lanes(all, [&](int l) {
+              e[l] = beg[l] +
+                     (kWarpG ? static_cast<std::uint32_t>(l) : w.tid(l));
             });
-            blk.sync();
-            // Region B: strided neighbourhood scan (ragged edge walk).
+            const std::uint32_t stride = kWarpG ? kWS : w.block_dim();
+            vcuda::LaneVec<std::uint32_t> u, su;
+            w.edge_walk(
+                all, e, fin, stride, [&](vcuda::WarpCtx::Mask live) {
+                  col.ld_warp(w, live, e.v, u.v);
+                  WO::ld(w, live, cur, u.v, su.v);
+                  const auto m_in =
+                      w.where(live, [&](int l) { return su[l] == kMisIn; });
+                  const auto m_blk = w.where(live, [&](int l) {
+                    return su[l] != kMisIn && su[l] != kMisOut &&
+                           mis_beats(u[l], v);
+                  });
+                  w.for_lanes(m_in, [&](int) { has_in[gib] = 1; });
+                  w.for_lanes(m_blk, [&](int) { blkd[gib] = 1; });
+                  w.work(m_in | m_blk, 1);
+                  return static_cast<vcuda::WarpCtx::Mask>(live & ~m_in);
+                });
+          });
+          blk.sync();
+          // Region C: leader decision (singleton batches reproduce the
+          // per-lane leader's op-for-op stream).
+          blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            std::uint32_t gib = 0;
+            const std::uint32_t item = warp_item(w, gib);
+            if (!kWarpG && w.tid(0) != 0) return;
+            if (item >= items) return;
+            const vcuda::WarpCtx::Mask lead = 1;
+            vcuda::LaneVec<std::uint32_t> vv, sv;
+            std::uint32_t v;
+            if constexpr (kData) {
+              vv[0] = item;
+              wl_in.ld_warp(w, lead, vv.v, sv.v);
+              v = sv[0];
+            } else {
+              v = item;
+            }
+            vv[0] = v;
+            WO::ld(w, lead, cur, vv.v, sv.v);
+            if (sv[0] != kMisUndecided) return;
+            vcuda::LaneVec<std::uint32_t> val, idx0;
+            if (has_in[gib] != 0) {
+              val[0] = kMisOut;
+              WO::st(w, lead, nxt, vv.v, val.v);
+              idx0[0] = 0;
+              val[0] = 1u;
+              WO::st(w, lead, changed, idx0.v, val.v);
+              return;
+            }
+            if (blkd[gib] != 0) {
+              if constexpr (kData) {
+                vcuda::LaneVec<std::uint32_t> old;
+                val[0] = itr;
+                WO::fetch_max(w, lead, stat, vv.v, val.v, old.v);
+                if (old[0] != itr) {
+                  idx0[0] = 0;
+                  val[0] = 1u;
+                  WO::fetch_add(w, lead, wl_size, idx0.v, val.v, old.v);
+                  idx0[0] = old[0];
+                  val[0] = v;
+                  wl_out.st_warp(w, lead, idx0.v, val.v);
+                }
+              }
+              return;
+            }
+            entered[gib] = 1;
+            val[0] = kMisIn;
+            WO::st(w, lead, nxt, vv.v, val.v);
+            idx0[0] = 0;
+            val[0] = 1u;
+            WO::st(w, lead, changed, idx0.v, val.v);
+          });
+          blk.sync();
+          // Region D (push): the whole group knocks the neighbours out.
+          if constexpr (!kPull) {
             blk.for_each_warp([&](vcuda::WarpCtx& w) {
               std::uint32_t gib = 0;
               const std::uint32_t item = warp_item(w, gib);
-              if (item >= items) return;
+              if (item >= items || entered[gib] == 0) return;
               const vcuda::WarpCtx::Mask all = w.full();
               vcuda::LaneVec<std::uint32_t> vv, sv;
               std::uint32_t v;
@@ -315,220 +383,23 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
                 v = item;
               }
               w.for_lanes(all, [&](int l) { vv[l] = v; });
-              WO::ld(w, all, cur, vv.v, sv.v);
-              if (sv[0] != kMisUndecided) return;  // warp-uniform guard
               vcuda::LaneVec<std::uint32_t> beg, fin;
               row.ld_warp(w, all, vv.v, beg.v);
               w.for_lanes(all, [&](int l) { vv[l] = v + 1; });
               row.ld_warp(w, all, vv.v, fin.v);
-              vcuda::LaneVec<std::uint32_t> e;
+              vcuda::LaneVec<std::uint32_t> e, u, outv;
               w.for_lanes(all, [&](int l) {
                 e[l] = beg[l] +
                        (kWarpG ? static_cast<std::uint32_t>(l) : w.tid(l));
+                outv[l] = kMisOut;
               });
               const std::uint32_t stride = kWarpG ? kWS : w.block_dim();
-              vcuda::LaneVec<std::uint32_t> u, su;
               w.edge_walk(
                   all, e, fin, stride, [&](vcuda::WarpCtx::Mask live) {
                     col.ld_warp(w, live, e.v, u.v);
-                    WO::ld(w, live, cur, u.v, su.v);
-                    const auto m_in =
-                        w.where(live, [&](int l) { return su[l] == kMisIn; });
-                    const auto m_blk = w.where(live, [&](int l) {
-                      return su[l] != kMisIn && su[l] != kMisOut &&
-                             mis_beats(u[l], v);
-                    });
-                    w.for_lanes(m_in, [&](int) { has_in[gib] = 1; });
-                    w.for_lanes(m_blk, [&](int) { blkd[gib] = 1; });
-                    w.work(m_in | m_blk, 1);
-                    return static_cast<vcuda::WarpCtx::Mask>(live & ~m_in);
+                    WO::st(w, live, nxt, u.v, outv.v);
+                    return live;
                   });
-            });
-            blk.sync();
-            // Region C: leader decision (singleton batches reproduce the
-            // per-lane leader's op-for-op stream).
-            blk.for_each_warp([&](vcuda::WarpCtx& w) {
-              std::uint32_t gib = 0;
-              const std::uint32_t item = warp_item(w, gib);
-              if (!kWarpG && w.tid(0) != 0) return;
-              if (item >= items) return;
-              const vcuda::WarpCtx::Mask lead = 1;
-              vcuda::LaneVec<std::uint32_t> vv, sv;
-              std::uint32_t v;
-              if constexpr (kData) {
-                vv[0] = item;
-                wl_in.ld_warp(w, lead, vv.v, sv.v);
-                v = sv[0];
-              } else {
-                v = item;
-              }
-              vv[0] = v;
-              WO::ld(w, lead, cur, vv.v, sv.v);
-              if (sv[0] != kMisUndecided) return;
-              vcuda::LaneVec<std::uint32_t> val, idx0;
-              if (has_in[gib] != 0) {
-                val[0] = kMisOut;
-                WO::st(w, lead, nxt, vv.v, val.v);
-                idx0[0] = 0;
-                val[0] = 1u;
-                WO::st(w, lead, changed, idx0.v, val.v);
-                return;
-              }
-              if (blkd[gib] != 0) {
-                if constexpr (kData) {
-                  vcuda::LaneVec<std::uint32_t> old;
-                  val[0] = itr;
-                  WO::fetch_max(w, lead, stat, vv.v, val.v, old.v);
-                  if (old[0] != itr) {
-                    idx0[0] = 0;
-                    val[0] = 1u;
-                    WO::fetch_add(w, lead, wl_size, idx0.v, val.v, old.v);
-                    idx0[0] = old[0];
-                    val[0] = v;
-                    wl_out.st_warp(w, lead, idx0.v, val.v);
-                  }
-                }
-                return;
-              }
-              entered[gib] = 1;
-              val[0] = kMisIn;
-              WO::st(w, lead, nxt, vv.v, val.v);
-              idx0[0] = 0;
-              val[0] = 1u;
-              WO::st(w, lead, changed, idx0.v, val.v);
-            });
-            blk.sync();
-            // Region D (push): the whole group knocks the neighbours out.
-            if constexpr (!kPull) {
-              blk.for_each_warp([&](vcuda::WarpCtx& w) {
-                std::uint32_t gib = 0;
-                const std::uint32_t item = warp_item(w, gib);
-                if (item >= items || entered[gib] == 0) return;
-                const vcuda::WarpCtx::Mask all = w.full();
-                vcuda::LaneVec<std::uint32_t> vv, sv;
-                std::uint32_t v;
-                if constexpr (kData) {
-                  w.for_lanes(all, [&](int l) { vv[l] = item; });
-                  wl_in.ld_warp(w, all, vv.v, sv.v);
-                  v = sv[0];
-                } else {
-                  v = item;
-                }
-                w.for_lanes(all, [&](int l) { vv[l] = v; });
-                vcuda::LaneVec<std::uint32_t> beg, fin;
-                row.ld_warp(w, all, vv.v, beg.v);
-                w.for_lanes(all, [&](int l) { vv[l] = v + 1; });
-                row.ld_warp(w, all, vv.v, fin.v);
-                vcuda::LaneVec<std::uint32_t> e, u, outv;
-                w.for_lanes(all, [&](int l) {
-                  e[l] = beg[l] +
-                         (kWarpG ? static_cast<std::uint32_t>(l) : w.tid(l));
-                  outv[l] = kMisOut;
-                });
-                const std::uint32_t stride = kWarpG ? kWS : w.block_dim();
-                w.edge_walk(
-                    all, e, fin, stride, [&](vcuda::WarpCtx::Mask live) {
-                      col.ld_warp(w, live, e.v, u.v);
-                      WO::st(w, live, nxt, u.v, outv.v);
-                      return live;
-                    });
-              });
-              blk.sync();
-            }
-            continue;
-          }
-          auto group_item = [&](vcuda::Thread& t, std::uint32_t& gib) {
-            gib = kWarpG ? t.warp_in_block() : 0;
-            const std::uint32_t group_global =
-                kWarpG ? t.gidx() / kWS : t.block_idx();
-            return group_global + batch * groups_total;
-          };
-          // Region A: reset flags (leaders) -- a real kernel does this
-          // before the scan barrier.
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            std::uint32_t gib = 0;
-            (void)group_item(t, gib);
-            const bool leader =
-                kWarpG ? t.lane() == 0 : t.thread_idx() == 0;
-            if (leader) {
-              has_in[gib] = 0;
-              blkd[gib] = 0;
-              entered[gib] = 0;
-              t.work(3);
-            }
-          });
-          blk.sync();
-          // Region B: strided neighbourhood scan.
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            std::uint32_t gib = 0;
-            const std::uint32_t item = group_item(t, gib);
-            if (item >= items) return;
-            const vid_t v = kData ? wl_in.ld(t, item) : item;
-            if (O::ld(t, cur, v) != kMisUndecided) return;
-            const std::uint32_t beg = row.ld(t, v);
-            const std::uint32_t end = row.ld(t, v + 1);
-            const std::uint32_t off =
-                kWarpG ? static_cast<std::uint32_t>(t.lane())
-                       : t.thread_idx();
-            const std::uint32_t stride = kWarpG ? kWS : t.block_dim();
-            for (std::uint32_t e = beg + off; e < end; e += stride) {
-              const vid_t u = col.ld(t, e);
-              const std::uint32_t su = O::ld(t, cur, u);
-              if (su == kMisIn) {
-                has_in[gib] = 1;
-                t.work(1);
-                break;
-              }
-              if (su != kMisOut && mis_beats(u, v)) {
-                blkd[gib] = 1;
-                t.work(1);
-              }
-            }
-          });
-          blk.sync();
-          // Region C: leader decision.
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            std::uint32_t gib = 0;
-            const std::uint32_t item = group_item(t, gib);
-            const bool leader = kWarpG ? t.lane() == 0 : t.thread_idx() == 0;
-            if (!leader || item >= items) return;
-            const vid_t v = kData ? wl_in.ld(t, item) : item;
-            if (O::ld(t, cur, v) != kMisUndecided) return;
-            if (has_in[gib] != 0) {
-              O::st(t, nxt, v, kMisOut);
-              O::st(t, changed, 0, 1u);
-              return;
-            }
-            if (blkd[gib] != 0) {
-              if constexpr (kData) {
-                if (O::fetch_max(t, stat, v, itr) != itr) {
-                  const std::uint32_t idx = O::fetch_add(t, wl_size, 0, 1u);
-                  wl_out.st(t, idx, v);
-                }
-              }
-              return;
-            }
-            entered[gib] = 1;
-            O::st(t, nxt, v, kMisIn);
-            O::st(t, changed, 0, 1u);
-          });
-          blk.sync();
-          // Region D (push): the whole group knocks the neighbours out.
-          if constexpr (!kPull) {
-            blk.for_each_thread([&](vcuda::Thread& t) {
-              std::uint32_t gib = 0;
-              const std::uint32_t item = group_item(t, gib);
-              if (item >= items || entered[gib] == 0) return;
-              const vid_t v = kData ? wl_in.ld(t, item) : item;
-              const std::uint32_t beg = row.ld(t, v);
-              const std::uint32_t end = row.ld(t, v + 1);
-              const std::uint32_t off =
-                  kWarpG ? static_cast<std::uint32_t>(t.lane())
-                         : t.thread_idx();
-              const std::uint32_t stride = kWarpG ? kWS : t.block_dim();
-              for (std::uint32_t e = beg + off; e < end; e += stride) {
-                O::st(t, nxt, col.ld(t, e), kMisOut);
-              }
             });
             blk.sync();
           }

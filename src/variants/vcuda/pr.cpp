@@ -152,7 +152,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
       dev.launch(grid2, kBD, [&](vcuda::Block& blk) {
         auto slots = blk.shared_array<double>(kBD);
         auto block_ctr = blk.shared_array<double>(1);
-        if (kResidLaneLoop && use_lane_loop()) {
+        if constexpr (kResidLaneLoop) {
           blk.for_each_warp([&](vcuda::WarpCtx& w) {
             for_items_warp<C.pers>(
                 w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
@@ -226,12 +226,11 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
                 });
           });
           epilogue(blk, slots, block_ctr[0]);
-        } else if (use_lane_loop()) {
-          // Lane-loop twin of the W/B pipeline below. Region A is a
-          // uniform-per-round ragged edge walk (4 loads + work per round,
-          // lanes leave only by cursor exhaustion, and the strided offsets
-          // make every live mask a lane-prefix), region B is a leader
-          // singleton — both batch op-for-op onto the per-lane groups.
+        } else {
+          // Warp/block granularity. Region A is a uniform-per-round ragged
+          // edge walk (4 loads + work per round, lanes leave only by cursor
+          // exhaustion, and the strided offsets make every live mask a
+          // lane-prefix), region B is a leader singleton.
           auto partials = blk.shared_array<double>(kBD);
           const std::uint32_t stride = kWarpG ? kWS : kBD;
           for (std::uint32_t batch = 0; batch < batches; ++batch) {
@@ -309,62 +308,6 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
               fv[0] = fresh;
               nxt.st_warp(w, lead, vv.v, fv.v);
               fold_w(w, blk, lead, slots, block_ctr[0], delta);
-            });
-            blk.sync();
-          }
-          epilogue(blk, slots, block_ctr[0]);
-        } else {
-          auto partials = blk.shared_array<double>(kBD);
-          for (std::uint32_t batch = 0; batch < batches; ++batch) {
-            // Region A: strided partial sums.
-            blk.for_each_thread([&](vcuda::Thread& t) {
-              partials[t.thread_idx()] = 0.0;
-              const std::uint32_t group =
-                  (kWarpG ? t.gidx() / kWS : t.block_idx()) +
-                  batch * groups_total;
-              if (group >= n) return;
-              const vid_t v = group;
-              const std::uint32_t beg = row.ld(t, v);
-              const std::uint32_t end = row.ld(t, v + 1);
-              const std::uint32_t off =
-                  kWarpG ? static_cast<std::uint32_t>(t.lane())
-                         : t.thread_idx();
-              const std::uint32_t stride = kWarpG ? kWS : t.block_dim();
-              double sum = 0.0;
-              for (std::uint32_t e = beg + off; e < end; e += stride) {
-                const vid_t u = col.ld(t, e);
-                const std::uint32_t du = row.ld(t, u + 1) - row.ld(t, u);
-                sum += static_cast<double>(cur.ld(t, u)) / du;
-                t.work(2);
-              }
-              partials[t.thread_idx()] = sum;
-            });
-            blk.sync();
-            // Region B: group leaders combine and write the fresh score.
-            blk.for_each_thread([&](vcuda::Thread& t) {
-              const bool leader =
-                  kWarpG ? t.lane() == 0 : t.thread_idx() == 0;
-              if (!leader) return;
-              const std::uint32_t group =
-                  (kWarpG ? t.gidx() / kWS : t.block_idx()) +
-                  batch * groups_total;
-              if (group >= n) return;
-              const vid_t v = group;
-              const std::uint32_t width = kWarpG ? kWS : t.block_dim();
-              const std::uint32_t first =
-                  kWarpG ? t.warp_in_block() * kWS : 0u;
-              double sum = 0.0;
-              for (std::uint32_t k = 0; k < width; ++k) {
-                sum += partials[first + k];
-              }
-              // Tree combine cost (shuffle reduction in a real kernel).
-              t.work(5 * 10.0);
-              const auto fresh =
-                  static_cast<float>(base + kPrDamping * sum);
-              const double delta =
-                  std::abs(static_cast<double>(fresh) - cur.ld(t, v));
-              nxt.st(t, v, fresh);
-              fold(t, slots, block_ctr[0], blk, delta);
             });
             blk.sync();
           }

@@ -255,11 +255,10 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
     // read-only (Det two-array), the infinite-source exit is a prefix mask
     // refinement, all same-target crossings land in the single fetch_min
     // batch (the sequenced accessor replays the per-lane lane order), and
-    // the changed-flag store is a conditional suffix — so its lane-loop
-    // twin is bit-identical in values, stats and charges. Everything else
-    // stays on the per-lane compatibility path because its lanes read
-    // values sibling lanes write in the same region: NonDet relaxes
-    // in-place (nxt aliases cur), ReadWrite splits the update into a
+    // the changed-flag store is a conditional suffix — so it runs in
+    // lane-loop form. Everything else stays on for_each_thread because
+    // its lanes read values sibling lanes write in the same region: NonDet
+    // relaxes in-place (nxt aliases cur), ReadWrite splits the update into a
     // non-atomic load+store pair, persistent lanes interleave across work
     // items, vertex flow breaks/continues mid-edge-loop, and data-driven
     // pushes chain off fetch_add returns with degree-length store runs —
@@ -269,48 +268,46 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
                                    C.pers == Persistence::NonPersistent;
     dev.launch(grid, kBD, [&](vcuda::Block& blk) {
       if constexpr (kProcLaneLoop) {
-        if (use_lane_loop()) {
-          using WO = WOps<C.alib>;
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, items, [&](vcuda::WarpCtx::Mask m0, std::uint32_t base) {
-                  vcuda::LaneVec<std::uint32_t> ev, av, bv, dv, wv, ndv, oldv;
-                  w.for_lanes(m0, [&](int l) {
-                    ev[l] = base + static_cast<std::uint32_t>(l);
-                  });
-                  srcl.ld_warp(w, m0, ev.v, av.v);
-                  col.ld_warp(w, m0, ev.v, bv.v);
-                  // Pull relaxes arc-dst into arc-src; push the reverse.
-                  auto& fromv = kPull ? bv : av;
-                  auto& tov = kPull ? av : bv;
-                  WO::ld(w, m0, cur, fromv.v, dv.v);
-                  const auto m1 =
-                      w.where(m0, [&](int l) { return dv[l] != kInfDist; });
-                  wts.ld_warp(w, m1, ev.v, wv.v);
-                  w.for_lanes(m1, [&](int l) {
-                    ndv[l] = Problem::relax(dv[l], wv[l]);
-                  });
-                  WO::fetch_min(w, m1, nxt, tov.v, ndv.v, oldv.v);
-                  const auto m2 =
-                      w.where(m1, [&](int l) { return ndv[l] < oldv[l]; });
-                  vcuda::LaneVec<std::uint32_t> zero, one;
-                  w.for_lanes(m2, [&](int l) {
-                    zero[l] = 0;
-                    one[l] = 1u;
-                  });
-                  WO::st(w, m2, changed, zero.v, one.v);
+        using WO = WOps<C.alib>;
+        blk.for_each_warp([&](vcuda::WarpCtx& w) {
+          for_items_warp<C.pers>(
+              w, items, [&](vcuda::WarpCtx::Mask m0, std::uint32_t base) {
+                vcuda::LaneVec<std::uint32_t> ev, av, bv, dv, wv, ndv, oldv;
+                w.for_lanes(m0, [&](int l) {
+                  ev[l] = base + static_cast<std::uint32_t>(l);
                 });
-          });
-          return;
-        }
+                srcl.ld_warp(w, m0, ev.v, av.v);
+                col.ld_warp(w, m0, ev.v, bv.v);
+                // Pull relaxes arc-dst into arc-src; push the reverse.
+                auto& fromv = kPull ? bv : av;
+                auto& tov = kPull ? av : bv;
+                WO::ld(w, m0, cur, fromv.v, dv.v);
+                const auto m1 =
+                    w.where(m0, [&](int l) { return dv[l] != kInfDist; });
+                wts.ld_warp(w, m1, ev.v, wv.v);
+                w.for_lanes(m1, [&](int l) {
+                  ndv[l] = Problem::relax(dv[l], wv[l]);
+                });
+                WO::fetch_min(w, m1, nxt, tov.v, ndv.v, oldv.v);
+                const auto m2 =
+                    w.where(m1, [&](int l) { return ndv[l] < oldv[l]; });
+                vcuda::LaneVec<std::uint32_t> zero, one;
+                w.for_lanes(m2, [&](int l) {
+                  zero[l] = 0;
+                  one[l] = 1u;
+                });
+                WO::st(w, m2, changed, zero.v, one.v);
+              });
+        });
+      } else {
+        blk.for_each_thread([&](vcuda::Thread& t) {
+          for_items<kGran, C.pers>(
+              t, items,
+              [&](std::uint32_t i, std::uint32_t off, std::uint32_t stride) {
+                process(t, i, off, stride);
+              });
+        });
       }
-      blk.for_each_thread([&](vcuda::Thread& t) {
-        for_items<kGran, C.pers>(
-            t, items,
-            [&](std::uint32_t i, std::uint32_t off, std::uint32_t stride) {
-              process(t, i, off, stride);
-            });
-      });
     });
     if constexpr (kData) {
       if (size_h[0] > wl_cap) {

@@ -130,13 +130,6 @@ struct WOps {
   }
 };
 
-/// True when the migrated kernels should run their lane-loop bodies; false
-/// keeps the per-lane reference bodies (tests flip this to prove engine
-/// equivalence).
-[[nodiscard]] inline bool use_lane_loop() {
-  return vcuda::warp_engine() == vcuda::WarpEngine::LaneLoop;
-}
-
 /// Grid size for `items` work items under the granularity/persistence
 /// styles. Persistent kernels use a device-filling grid and stride
 /// (Listing 7a); non-persistent kernels launch one thread/warp/block per

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -16,41 +14,9 @@ namespace indigo::vcuda {
 
 namespace {
 
-std::atomic<bool> g_reference_model{false};
-
-/// Startup default for the engine switch. INDIGO_WARP_ENGINE=perlane forces
-/// the legacy for_each_thread interpretation of migrated kernels (A/B
-/// timing runs, golden-test triage) without recompiling; anything else —
-/// including unset — is the lane-loop engine. set_warp_engine still
-/// overrides at runtime (the golden tests flip it per subtest).
-WarpEngine initial_warp_engine() {
-  if (const char* env = std::getenv("INDIGO_WARP_ENGINE")) {
-    if (std::strcmp(env, "perlane") == 0) return WarpEngine::PerLane;
-  }
-  return WarpEngine::LaneLoop;
-}
-
-std::atomic<WarpEngine> g_warp_engine{initial_warp_engine()};
-
 std::atomic<std::uint64_t> g_peak_footprint{0};
 
 }  // namespace
-
-bool reference_model() {
-  return g_reference_model.load(std::memory_order_relaxed);
-}
-
-void set_reference_model(bool on) {
-  g_reference_model.store(on, std::memory_order_relaxed);
-}
-
-WarpEngine warp_engine() {
-  return g_warp_engine.load(std::memory_order_relaxed);
-}
-
-void set_warp_engine(WarpEngine e) {
-  g_warp_engine.store(e, std::memory_order_relaxed);
-}
 
 void note_modeled_footprint(std::uint64_t bytes) {
   std::uint64_t cur = g_peak_footprint.load(std::memory_order_relaxed);
@@ -126,46 +92,7 @@ void WarpRecorder::flush_groups(Device& dev) {
   // mem accesses as line values at [0, n_mem) and chain-atomic addresses
   // at [stride_ - n_atomic, stride_) of each group (see sim.hpp).
 
-  if (dev.reference_mode()) {
-    // Legacy algorithm (sort + unique per group), kept so the golden
-    // dual-path test can prove the fast path below is bit-identical.
-    std::uint64_t lines[64];
-    std::uint64_t atomic_addrs[64];
-    for (std::size_t gi = 0; gi < used_groups_; ++gi) {
-      const std::uint16_t info = group_info_[gi];
-      const int n_lines = info & 0x7f;
-      const int n_atomic = (info >> 7) & 0x7f;
-      const std::uint64_t* ga = addrs_.data() + gi * stride_;
-      if (n_lines > 0) {
-        std::copy(ga, ga + n_lines, lines);
-        std::sort(lines, lines + n_lines);
-        dev.add_mem_instructions(1);
-        dev.add_transactions(static_cast<std::uint64_t>(
-            std::unique(lines, lines + n_lines) - lines));
-      }
-      // Atomics: nvcc and the hardware aggregate same-address atomics
-      // within a warp, so distinct addresses in this group each contribute
-      // one unit to their address's serialization chain.
-      if (n_atomic > 0) {
-        std::copy(ga + stride_ - n_atomic, ga + stride_, atomic_addrs);
-        std::sort(atomic_addrs, atomic_addrs + n_atomic);
-        const int distinct = static_cast<int>(
-            std::unique(atomic_addrs, atomic_addrs + n_atomic) -
-            atomic_addrs);
-        const double unit =
-            spec.same_address_atomic_cycles *
-            ((info & 0x8000) != 0 ? spec.cudaatomic_rmw_mult : 1.0);
-        for (int i = 0; i < distinct; ++i) {
-          dev.note_atomic_chain(mix_addr(atomic_addrs[i]), unit, owner_);
-        }
-        // Atomics also move data: one transaction per distinct address.
-        dev.add_transactions(static_cast<std::uint64_t>(distinct));
-      }
-    }
-    return;
-  }
-
-  // Fast path. Counting DISTINCT lines/addresses needs no sort:
+  // Counting DISTINCT lines/addresses needs no sort:
   //  - mem accesses spanning a <=64-line window (every coalesced or
   //    constant-stride pattern) are counted with one 64-bit occupancy
   //    bitmap and a popcount;
@@ -174,8 +101,8 @@ void WarpRecorder::flush_groups(Device& dev) {
   //  - warp-uniform atomics (the aggregated common case) short-circuit to
   //    a single chain unit.
   // Distinct-counts are order-independent, and within one group every
-  // note_atomic_chain carries the same (unit, owner), so the accumulated
-  // doubles match the sorted reference bit-for-bit.
+  // note_atomic_chain carries the same (unit, owner), so the order in which
+  // a group's distinct addresses are noted does not change any double.
   std::uint64_t distinct[64];
   for (std::size_t gi = 0; gi < used_groups_; ++gi) {
     const std::uint16_t info = group_info_[gi];
@@ -232,9 +159,8 @@ void WarpRecorder::flush_groups(Device& dev) {
 }  // namespace detail
 
 // --- WarpCtx: per-batch accounting back ends ------------------------------
-// The charging half (charge_and_collect, in sim.hpp) is shared by both
-// modes; only the address accounting differs. These run once per operation
-// batch (not per lane), so an out-of-line call is fine.
+// The charging half is charge_and_collect (sim.hpp). These run once per
+// operation batch (not per lane), so an out-of-line call is fine.
 
 void WarpCtx::fast_mem(const std::uint64_t* lines, int n) {
   // Same analytic ladder as WarpRecorder::flush's fast path, applied
@@ -268,10 +194,8 @@ void WarpCtx::fast_mem(const std::uint64_t* lines, int n) {
     line_min = std::min(line_min, lines[i]);
     line_max = std::max(line_max, lines[i]);
   }
-  const std::uint64_t width = line_max - line_min + 1;
-  if (width == 1) {
-    dev_.add_transactions(1);
-  } else if (width <= 64) {
+  // An unsorted batch spans at least two lines, so there is no width-1 rung.
+  if (line_max - line_min < 64) {
     std::uint64_t occupied = 0;
     for (int i = 0; i < n; ++i) {
       occupied |= std::uint64_t{1} << (lines[i] - line_min);
@@ -301,29 +225,6 @@ void WarpCtx::fast_chain(const std::uint64_t* addrs, int n, bool rmw) {
     dev_.note_atomic_chain(detail::mix_addr(distinct[j]), unit, rec_.owner_);
   }
   dev_.add_transactions(static_cast<std::uint64_t>(d));
-}
-
-void WarpCtx::ref_store_mem(const std::uint64_t* lines, int n) {
-  // One batch = one arena group, exactly as if each active lane had
-  // record()ed at the same program point; flush's legacy per-group scan
-  // then produces the reference accounting.
-  auto& r = rec_;
-  const std::size_t gi = r.op_index_++;
-  if (gi >= r.group_cap_) r.grow(gi + 1);
-  std::memcpy(r.addrs_.data() + gi * r.stride_, lines,
-              static_cast<std::size_t>(n) * sizeof(std::uint64_t));
-  r.group_info_[gi] = static_cast<std::uint16_t>(n);
-}
-
-void WarpCtx::ref_store_chain(const std::uint64_t* addrs, int n, bool rmw) {
-  auto& r = rec_;
-  const std::size_t gi = r.op_index_++;
-  if (gi >= r.group_cap_) r.grow(gi + 1);
-  // Chain atomics occupy the back of the group, as in record().
-  std::memcpy(r.addrs_.data() + (gi + 1) * r.stride_ - n, addrs,
-              static_cast<std::size_t>(n) * sizeof(std::uint64_t));
-  r.group_info_[gi] =
-      static_cast<std::uint16_t>((n << 7) | (rmw ? 0x8000 : 0));
 }
 
 Block::Block(Device& dev, std::uint32_t bdim, std::uint32_t gdim)
@@ -405,7 +306,7 @@ void Block::end_block() {
 }
 
 Device::Device(const DeviceSpec& spec)
-    : spec_(spec), hotspot_(4096), ref_(reference_model()) {
+    : spec_(spec), hotspot_(4096) {
   // Throwing validation (not an assert — NDEBUG builds must reject bad
   // specs too): everything downstream relies on these invariants.
   spec_.validate();
@@ -431,14 +332,10 @@ void Device::begin_launch(std::uint32_t grid_dim, std::uint32_t block_dim) {
         "vcuda::Device::launch: grid_dim must be >= 1, got 0");
   if (rc_) rc_->on_launch_begin();
   stats_.reset();
-  if (ref_) {
-    hotspot_.assign(hotspot_.size(), HotSlot{});
-  } else {
-    // Bumping the epoch invalidates every slot at once; stale slots are
-    // reset lazily on first touch (note_atomic_chain).
-    ++launch_epoch_;
-    hot_max_ = 0;
-  }
+  // Bumping the epoch invalidates every slot at once; stale slots are
+  // reset lazily on first touch (note_atomic_chain).
+  ++launch_epoch_;
+  hot_max_ = 0;
   stats_.grid_dim = grid_dim;
   stats_.block_dim = block_dim;
   const auto resident = static_cast<double>(grid_dim) * block_dim;
@@ -448,12 +345,7 @@ void Device::begin_launch(std::uint32_t grid_dim, std::uint32_t block_dim) {
 }
 
 void Device::finalize_launch() {
-  double hot = hot_max_;
-  if (ref_) {
-    hot = 0;
-    for (const HotSlot& h : hotspot_) hot = std::max(hot, h.cycles);
-  }
-  stats_.hotspot_cycles_max = hot;
+  stats_.hotspot_cycles_max = hot_max_;
 
   const double hz = spec_.clock_ghz * 1e9;
   const double compute_s =
@@ -461,7 +353,7 @@ void Device::finalize_launch() {
   const double mem_s = static_cast<double>(stats_.transactions) *
                        spec_.mem_transaction_bytes /
                        (spec_.mem_bandwidth_gbs * 1e9);
-  const double atomic_s = hot / hz;
+  const double atomic_s = hot_max_ / hz;
   // seq_cst cuda::atomic stalls serialize each SM's memory pipeline; they
   // add on top of whatever the roofline hides (Section 5.1's penalty).
   const double fence_s =

@@ -128,9 +128,8 @@ struct LaunchStats {
   std::uint64_t block_atomic_ops = 0;  // the shared-memory subset of
                                        // atomic_ops (no global traffic)
   std::uint64_t lane_accesses = 0;     // per-lane global-memory accesses;
-                                       // engine-invariant (a kernel makes the
-                                       // same accesses on either engine), so
-                                       // twin benchmarks gate on it
+                                       // perf_sim checks it against each
+                                       // kernel's analytic access count
   double lane_cycles = 0;       // sum of per-lane work (useful cycles)
   double lockstep_cycles = 0;   // sum of max-lane x active-lanes (what the
                                 // SIMT lockstep actually occupies)
@@ -155,26 +154,6 @@ struct LaunchStats {
 
   void reset() { *this = LaunchStats{}; }
 };
-
-/// Global switch selecting the legacy (reference) model algorithms instead
-/// of the fast paths. Both produce bit-identical modeled time and
-/// LaunchStats — the reference path exists so the golden dual-path test can
-/// prove it. Sampled once per Device at construction; flip it before
-/// constructing the Device under test.
-[[nodiscard]] bool reference_model();
-void set_reference_model(bool on);
-
-/// Which warp execution engine the variant kernels use for the migrated
-/// kernel bodies. LaneLoop (the default) runs them through
-/// Block::for_each_warp with batched WarpCtx recording; PerLane keeps the
-/// legacy one-lane-at-a-time for_each_thread bodies as a testable
-/// reference. Both are bit-identical in modeled time, LaunchStats, and
-/// functional outputs for every migrated kernel (tests/test_sim_golden.cpp
-/// proves it); kernels whose per-lane op streams cannot be batched ignore
-/// the switch and always run per-lane (see docs/VCUDA_MODEL.md).
-enum class WarpEngine { LaneLoop, PerLane };
-[[nodiscard]] WarpEngine warp_engine();
-void set_warp_engine(WarpEngine e);
 
 namespace detail {
 
@@ -462,9 +441,8 @@ int delta_sign(const T& oldv, const T& newv) {
 /// per-lane approximation), and it is deterministic. The timing model is
 /// unchanged: one batch == one SIMT instruction group, charged through the
 /// same per-kind tables, coalescing and atomic-chain rules as the per-lane
-/// path. In reference mode batches are staged into the legacy arena and
-/// flushed through the legacy per-group algorithms, so the golden dual-path
-/// test proves the batched analytic accounting bit-identical.
+/// path (tests/test_sim_golden.cpp checks both against a brute-force
+/// oracle).
 class WarpCtx {
  public:
   /// Active-lane set for one operation batch; bit l = lane l participates.
@@ -591,9 +569,8 @@ class WarpCtx {
   // One call = one operation batch = one SIMT instruction group: charges
   // every active lane from the per-kind tables (and the fence pool for
   // cuda::atomic kinds) in ascending lane order, then accounts the batch's
-  // addresses — staged into the legacy arena group in reference mode,
-  // analytically (min/max window, bitmap popcount, stamp dedup, uniform
-  // short-circuit) in fast mode. Bodies live below Device.
+  // addresses analytically (min/max window, bitmap popcount, stamp dedup,
+  // uniform short-circuit). Bodies live below Device.
   template <AccessKind K, typename Idx>
   void record_gather(Mask m, const void* base, std::size_t esz,
                      const Idx* idx);
@@ -629,20 +606,15 @@ class WarpCtx {
     full_ = width >= 64 ? ~Mask{0} : (Mask{1} << width) - 1;
   }
 
-  // Per-kind lane charges for one batch, shared verbatim by reference and
-  // fast modes so every double accumulates in the same sequence. Returns the
-  // batch's compacted per-lane values (addresses for chain-atomic kinds,
+  // Per-kind lane charges for one batch, in ascending lane order. Returns
+  // the batch's compacted per-lane values (addresses for chain-atomic kinds,
   // transaction lines otherwise) in tmp[0, n); n = popcount(m).
   template <AccessKind K, typename AddrOf>
   int charge_and_collect(Mask m, AddrOf&& addr_of, std::uint64_t* tmp);
 
-  // Fast-mode analytic accounting over one batch's compacted values.
+  // Analytic accounting over one batch's compacted values.
   void fast_mem(const std::uint64_t* lines, int n);
   void fast_chain(const std::uint64_t* addrs, int n, bool rmw);
-  // Reference-mode staging: the batch becomes the next arena group, exactly
-  // as if each lane had record()ed at the same program point.
-  void ref_store_mem(const std::uint64_t* lines, int n);
-  void ref_store_chain(const std::uint64_t* addrs, int n, bool rmw);
 
   Device& dev_;
   detail::WarpRecorder& rec_;
@@ -1402,40 +1374,27 @@ class Device {
     // the launch. One warp re-touching its own address (e.g. a pull-style
     // thread relaxing its own vertex once per in-edge) serializes only with
     // itself and is not counted.
-    const std::uint32_t tagged = owner + 1;  // 0 = never hit
-    if (ref_) {
-      h.cycles += cycles;
-      if (h.owner != 0 && h.owner != tagged) ++stats_.atomic_conflicts;
-      h.owner = tagged;
-      return;
-    }
+    const std::uint32_t tagged = owner + 1;
     // Epoch tagging: a slot whose epoch is stale was not touched this
-    // launch, so it logically holds (cycles 0, owner never-hit). 0 + cycles
-    // == cycles exactly, so lazily materializing the zero is bit-identical
-    // to the memset the reference path performs.
+    // launch, so it logically holds (cycles 0, owner never-hit).
     double chain;
     if (h.epoch != launch_epoch_) {
       h.epoch = launch_epoch_;
       chain = cycles;
     } else {
       chain = h.cycles + cycles;
-      // A live slot was necessarily written by some warp this launch, so
-      // the legacy owner != 0 guard is implied.
       if (h.owner != tagged) ++stats_.atomic_conflicts;
     }
     h.owner = tagged;
     h.cycles = chain;
     // Chains only grow within a launch, so a running max over the updates
-    // equals the reference path's final full-table scan bit-for-bit.
+    // is the longest chain; finalize_launch need not scan the table.
     if (chain > hot_max_) hot_max_ = chain;
   }
   void note_block_atomic() {
     ++stats_.atomic_ops;
     ++stats_.block_atomic_ops;
   }
-  /// True when this Device runs the legacy reference algorithms (sampled
-  /// from reference_model() at construction). Read by WarpRecorder::flush.
-  [[nodiscard]] bool reference_mode() const { return ref_; }
 
  private:
   void begin_launch(std::uint32_t grid_dim, std::uint32_t block_dim);
@@ -1447,13 +1406,11 @@ class Device {
   LaunchStats last_stats_;
   // Same-address atomic chains, hashed into a fixed-size table. A slot is
   // live for the current launch iff its epoch matches launch_epoch_; stale
-  // slots read as (cycles 0, owner never-hit). This replaces the per-launch
-  // 20KB assign() memsets, and hot_max_ tracks the running maximum so
-  // finalize_launch does not rescan the table (a running max of monotone
-  // accumulations equals the final scan's max bit-for-bit). One struct per
-  // slot (not parallel arrays): a chain update is a single-cache-line
-  // touch, and it is THE per-access cost atomic-heavy kernels share across
-  // both warp engines.
+  // slots read as (cycles 0, owner never-hit), so no launch clears the
+  // table, and hot_max_ tracks the running maximum so finalize_launch does
+  // not scan it. One struct per slot (not parallel arrays): a chain update
+  // is a single-cache-line touch, and it is THE per-access cost
+  // atomic-heavy kernels share across for_each_thread and for_each_warp.
   struct HotSlot {
     double cycles = 0;
     std::uint64_t epoch = 0;
@@ -1467,7 +1424,6 @@ class Device {
   std::uint64_t next_vbase_ = kVBase0;
   std::uint64_t launch_epoch_ = 0;
   double hot_max_ = 0;
-  bool ref_ = false;  // legacy reference algorithms (golden test only)
   double launch_start_us_ = 0;  // wall clock, for the launch trace span
   double elapsed_s_ = 0;
   std::uint64_t launches_ = 0;
@@ -1522,7 +1478,7 @@ inline void WarpCtx::record_gather(Mask m, const void* base, std::size_t esz,
   // makes this the MOST common batch shape, not a corner case). A 1-lane
   // batch needs no collection ladder: one charge, one address, one
   // transaction — the same integers fast_mem/fast_chain produce for n=1.
-  if ((m & (m - 1)) == 0 && !dev_.reference_mode()) {
+  if ((m & (m - 1)) == 0) {
     const int l = std::countr_zero(m);
     const auto k = static_cast<std::size_t>(K);
     rec_.lane_cycles_[l] += rec_.lane_charge_[k];
@@ -1553,7 +1509,7 @@ inline void WarpCtx::record_gather(Mask m, const void* base, std::size_t esz,
   // distinct-lines is 1 or 2 by direct compare (what sorted-adjacent,
   // bitmap, and dedup all reduce to), chain notes first-seen order a0, a1.
   const Mask m2 = m & (m - 1);
-  if ((m2 & (m2 - 1)) == 0 && !dev_.reference_mode()) {
+  if ((m2 & (m2 - 1)) == 0) {
     const int l0 = std::countr_zero(m);
     const int l1 = std::countr_zero(m2);
     const auto k = static_cast<std::size_t>(K);
@@ -1593,10 +1549,7 @@ inline void WarpCtx::record_gather(Mask m, const void* base, std::size_t esz,
         m,
         [&](int l) { return b + static_cast<std::uint64_t>(idx[l]) * esz; },
         tmp);
-    if (dev_.reference_mode())
-      ref_store_chain(tmp, n, K == AccessKind::CudaAtomicRmw);
-    else
-      fast_chain(tmp, n, K == AccessKind::CudaAtomicRmw);
+    fast_chain(tmp, n, K == AccessKind::CudaAtomicRmw);
   } else {
     const int sh = rec_.line_shift_;
     const int n = charge_and_collect<K>(
@@ -1605,10 +1558,7 @@ inline void WarpCtx::record_gather(Mask m, const void* base, std::size_t esz,
           return (b + static_cast<std::uint64_t>(idx[l]) * esz) >> sh;
         },
         tmp);
-    if (dev_.reference_mode())
-      ref_store_mem(tmp, n);
-    else
-      fast_mem(tmp, n);
+    fast_mem(tmp, n);
   }
 }
 
@@ -1628,10 +1578,7 @@ inline void WarpCtx::record_contig(Mask m, const void* base, std::size_t esz,
         m,
         [&](int l) { return a0 + static_cast<std::uint64_t>(l) * esz; },
         tmp);
-    if (dev_.reference_mode())
-      ref_store_chain(tmp, n, K == AccessKind::CudaAtomicRmw);
-    else
-      fast_chain(tmp, n, K == AccessKind::CudaAtomicRmw);
+    fast_chain(tmp, n, K == AccessKind::CudaAtomicRmw);
     return;
   }
   const int sh = rec_.line_shift_;
@@ -1641,8 +1588,7 @@ inline void WarpCtx::record_contig(Mask m, const void* base, std::size_t esz,
   // same integer the bitmap/dedup paths would produce. No per-lane address
   // ladder at all: charge the [0, n) prefix densely and read the window off
   // the first and last lane's line.
-  if ((m & (m + 1)) == 0 && esz <= (std::uint64_t{1} << sh) &&
-      !dev_.reference_mode()) {
+  if ((m & (m + 1)) == 0 && esz <= (std::uint64_t{1} << sh)) {
     const int n = static_cast<int>(std::bit_width(m));
     const auto k = static_cast<std::size_t>(K);
     const double c = rec_.lane_charge_[k];
@@ -1663,10 +1609,6 @@ inline void WarpCtx::record_contig(Mask m, const void* base, std::size_t esz,
         return (a0 + static_cast<std::uint64_t>(l) * esz) >> sh;
       },
       tmp);
-  if (dev_.reference_mode()) {
-    ref_store_mem(tmp, n);
-    return;
-  }
   fast_mem(tmp, n);
 }
 
@@ -1675,10 +1617,9 @@ inline void WarpCtx::relax_min(Mask m, const DeviceArray<C>& col,
                                const Idx* cur, const DeviceArray<T>& dst,
                                const T* val, std::remove_const_t<C>* u) {
   if (m == 0) return;
-  // Reference mode must stage two arena groups in op order, and racecheck
-  // must observe the unfused hook sequence — both delegate to the pair the
-  // fusion replaces.
-  if (dev_.reference_mode() || race_on()) {
+  // Racecheck must observe the unfused hook sequence, so it delegates to
+  // the pair the fusion replaces.
+  if (race_on()) {
     col.ld_warp(*this, m, cur, u);
     dst.atomic_min_warp(*this, m, u, val);
     return;
