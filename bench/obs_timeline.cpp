@@ -1,14 +1,15 @@
 // Post-run attribution report over exported traces.
 //
 // Reads one or more Chrome-trace JSON files — INDIGO_TRACE exports and/or
-// flightdump-<pid>.json flight-recorder dumps, possibly from several worker
-// processes — merges their event streams by (pid, tid), and prints the
-// attribution the paper's analysis style calls for:
+// flightdump-<pid>.json flight-recorder dumps, possibly from several runs —
+// merges their event streams by (pid, tid), and prints the attribution the
+// paper's analysis style calls for:
 //
 //   * total measured time by algorithm, by graph, and by style (the
 //     algorithm x style x graph cells, ranked),
-//   * the executor's breakdown: worker-busy vs stall time, steals,
-//     retries, timeouts, quarantines,
+//   * the executor's breakdown: worker-busy vs stall time, time spent
+//     waiting for the execution-class lane, steals, retries, timeouts,
+//     quarantines,
 //   * the top-N slowest job attempts with worker/attempt/outcome.
 //
 // Job labels are parsed from the `job` span's args ("variant@graph", where
@@ -36,7 +37,6 @@ using indigo::obs::ReadTrace;
 struct JobAttempt {
   std::string label;  // "variant@graph"
   std::string algo, model, style, graph;
-  std::string proc;  // process-level worker identity ("w3" in a fleet run)
   double dur_us = 0;
   std::uint64_t pid = 0;
   int worker = -1;
@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
 
   std::vector<JobAttempt> jobs;
   std::map<std::string, double> by_algo, by_graph, by_style, by_cell;
-  std::map<std::string, double> by_proc;  // fleet-worker attribution
   // Device-memory attribution from vcuda.launch spans: each span carries
   // the device's modeled footprint at launch time, so the merged streams
   // yield a peak per process and overall.
@@ -139,6 +138,7 @@ int main(int argc, char** argv) {
   double foot_peak_bytes = 0;  // peak modeled footprint across files
   std::size_t launches_seen = 0;
   double busy_us = 0;
+  double lane_wait_us = 0;
   double run_dur_us = 0, run_workers = 0;
   double steals = 0, retries = 0, timeouts = 0, quarantined = 0;
   std::size_t parsed_files = 0, total_events = 0;
@@ -194,6 +194,10 @@ int main(int argc, char** argv) {
         }
         continue;
       }
+      if (ev.cat == "sched" && ev.name == "lane_wait") {
+        lane_wait_us += ev.dur_us;
+        continue;
+      }
       if (ev.cat != "sched" || ev.name != "job") continue;
       busy_us += ev.dur_us;
       std::string label;
@@ -215,15 +219,6 @@ int main(int argc, char** argv) {
       if (const auto it = ev.str_args.find("outcome");
           it != ev.str_args.end())
         job.outcome = it->second;
-      // Per-process attribution: the executor stamps every job span with
-      // its process label ("w3" for fleet rank 3, "pid<pid>" otherwise);
-      // dumps without the arg fall back to the trace's pid.
-      if (const auto it = ev.str_args.find("proc"); it != ev.str_args.end()) {
-        job.proc = it->second;
-      } else if (job.pid != 0) {
-        job.proc = "pid" + std::to_string(job.pid);
-      }
-      if (!job.proc.empty()) by_proc[job.proc] += job.dur_us;
       if (parse_label(label, job)) {
         by_algo[job.algo] += job.dur_us;
         by_graph[job.graph] += job.dur_us;
@@ -251,10 +246,6 @@ int main(int argc, char** argv) {
     print_ranked("time by style", by_style, top);
     print_ranked("time by algorithm x style x graph", by_cell, top);
   }
-  if (by_proc.size() > 1 || (!by_proc.empty() &&
-                             by_proc.begin()->first.rfind("pid", 0) != 0)) {
-    print_ranked("time by fleet worker", by_proc, top);
-  }
 
   if (run_dur_us > 0) {
     const double workers = std::max(1.0, run_workers);
@@ -267,6 +258,8 @@ int main(int argc, char** argv) {
                 fmt_ms(busy_us).c_str(),
                 capacity_us > 0 ? 100.0 * busy_us / capacity_us : 0.0);
     std::printf("  worker stall    %12s\n", fmt_ms(stall_us).c_str());
+    std::printf("  lane wait       %12s  (inside stall)\n",
+                fmt_ms(lane_wait_us).c_str());
     std::printf("  steals %.0f, retries %.0f, timeouts %.0f, "
                 "quarantined %.0f\n",
                 steals, retries, timeouts, quarantined);
@@ -295,9 +288,6 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < jobs.size() && i < top; ++i) {
       const JobAttempt& j = jobs[i];
       std::printf("  %-58s %12s", j.label.c_str(), fmt_ms(j.dur_us).c_str());
-      if (!j.proc.empty() && j.proc.rfind("pid", 0) != 0) {
-        std::printf("  %s", j.proc.c_str());
-      }
       if (j.worker >= 0) std::printf("  w%d", j.worker);
       if (j.attempt >= 0) std::printf(" a%d", j.attempt);
       if (!j.outcome.empty()) std::printf(" %s", j.outcome.c_str());

@@ -60,6 +60,13 @@ int resolve_sweep_workers(int requested) {
   return sched::Executor::resolve_workers(0);
 }
 
+/// The measurement journal's path: REPRO_CACHE, else "repro_cache.csv" in
+/// the working directory; an empty string keeps results in memory only.
+std::string env_journal_path() {
+  const char* env = std::getenv("REPRO_CACHE");
+  return env != nullptr ? env : "repro_cache.csv";
+}
+
 }  // namespace
 
 int env_retries() {
@@ -74,11 +81,6 @@ double env_timeout_s() {
     return std::max(0.0, std::atof(env));
   }
   return 0;  // measurements have no deadline unless asked for
-}
-
-std::string env_journal_path() {
-  const char* env = std::getenv("REPRO_CACHE");
-  return env != nullptr ? env : "repro_cache.csv";
 }
 
 Harness::Harness() : Harness(DeferGraphs{}) {

@@ -38,10 +38,6 @@ namespace indigo::bench {
 int env_retries();
 double env_timeout_s();
 
-/// The measurement journal's path: REPRO_CACHE, else "repro_cache.csv" in
-/// the working directory; an empty string keeps results in memory only.
-std::string env_journal_path();
-
 struct SweepOptions {
   std::optional<Model> model;
   std::optional<Algorithm> algo;
@@ -73,8 +69,8 @@ struct SweepStats {
 class Harness {
  public:
   /// Registers all variants, generates the study inputs at their default
-  /// scales, and opens the journaled measurement store at
-  /// env_journal_path().
+  /// scales, and opens the journaled measurement store at REPRO_CACHE
+  /// (default "repro_cache.csv"; empty keeps results in memory only).
   Harness();
 
   /// Deferred mode: everything except the graphs, which materialize on

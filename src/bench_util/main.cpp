@@ -1,6 +1,6 @@
 #include "bench_util/main.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <exception>
 #include <iostream>
 #include <string>
@@ -31,6 +31,17 @@ bool parse_algo(const std::string& s, std::optional<Algorithm>& out) {
   return false;
 }
 
+/// Whole decimal `s` >= `min` into `out`; false on anything else (empty,
+/// sign-only, trailing characters, out of int range).
+bool parse_count(const std::string& s, int min, int& out) {
+  int v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || ptr != end || v < min) return false;
+  out = v;
+  return true;
+}
+
 void print_usage(const char* prog) {
   std::cerr << "usage: " << prog
             << " [--model=cuda|omp|cpp] [--algo=cc|mis|pr|tc|bfs|sssp]"
@@ -55,8 +66,8 @@ std::vector<Model> BenchArgs::models() const {
   return {std::begin(kAllModels), std::end(kAllModels)};
 }
 
-int Main(int argc, char** argv, const MainOptions& mo,
-         const std::function<int(Harness&, const BenchArgs&)>& body) {
+std::optional<BenchArgs> parse_bench_args(int argc, char** argv,
+                                          std::vector<std::string>& rest) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -65,27 +76,41 @@ int Main(int argc, char** argv, const MainOptions& mo,
     const std::string val =
         eq == std::string::npos ? std::string() : arg.substr(eq + 1);
     bool ok = eq != std::string::npos;
-    if (arg == "--help" || arg == "-h") {
-      print_usage(argv[0]);
-      return 0;
-    } else if (key == "--model") {
+    if (key == "--model") {
       ok = ok && parse_model(val, args.model);
     } else if (key == "--algo") {
       ok = ok && parse_algo(val, args.algo);
     } else if (key == "--reps") {
-      ok = ok && std::atoi(val.c_str()) > 0;
-      if (ok) args.reps = std::atoi(val.c_str());
+      ok = ok && parse_count(val, 1, args.reps);
     } else if (key == "--workers") {
-      args.workers = std::atoi(val.c_str());
+      ok = ok && parse_count(val, 0, args.workers);
     } else {
-      ok = false;
+      rest.push_back(arg);
+      continue;
     }
     if (!ok) {
       std::cerr << "bad argument: " << arg << '\n';
-      print_usage(argv[0]);
-      return 2;
+      return std::nullopt;
     }
   }
+  return args;
+}
+
+int Main(int argc, char** argv, const MainOptions& mo,
+         const std::function<int(Harness&, const BenchArgs&)>& body) {
+  std::vector<std::string> rest;
+  const std::optional<BenchArgs> parsed = parse_bench_args(argc, argv, rest);
+  if (!parsed) {
+    print_usage(argv[0]);
+    return 2;
+  }
+  if (!rest.empty()) {
+    const bool help = rest.front() == "--help" || rest.front() == "-h";
+    if (!help) std::cerr << "bad argument: " << rest.front() << '\n';
+    print_usage(argv[0]);
+    return help ? 0 : 2;
+  }
+  const BenchArgs& args = *parsed;
   if (mo.force_obs) obs::set_enabled(true);
   print_header(mo.id, mo.title, mo.paper_claim);
   try {

@@ -10,6 +10,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.hpp"
 
@@ -31,6 +32,13 @@ struct BenchArgs {
   /// The models a figure should iterate: all of them, or just --model.
   [[nodiscard]] std::vector<Model> models() const;
 };
+
+/// Parses the shared flags of argv[1..argc) into a BenchArgs. Numbers must
+/// be whole decimal values (--reps > 0, --workers >= 0); a malformed value
+/// prints "bad argument" and returns nullopt. Arguments that are not shared
+/// flags are appended to `rest`, in order, for the caller to interpret.
+std::optional<BenchArgs> parse_bench_args(int argc, char** argv,
+                                          std::vector<std::string>& rest);
 
 struct MainOptions {
   std::string id;           // e.g. "Figure 5"

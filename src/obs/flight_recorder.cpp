@@ -297,13 +297,6 @@ const std::string& flight_dump_path() {
   return g_dump_path_str;
 }
 
-std::string flight_dump_path_for(long pid) {
-  char buf[sizeof(g_dump_path_buf)];
-  std::snprintf(buf, sizeof(buf), "flightdump-%lld.json",
-                static_cast<long long>(pid));
-  return buf;
-}
-
 bool flight_dump(const char* reason) {
   if (!flight_enabled() || g_dump_path_buf[0] == '\0') return false;
   // One dump at a time; a second concurrent caller (two crashing threads)

@@ -57,12 +57,6 @@ void flight_record_span(const char* name, const char* cat, double ts_us,
 /// working directory at arm time.
 const std::string& flight_dump_path();
 
-/// The dump path another process with `pid` would use (same naming scheme,
-/// relative to the shared working directory). The fleet coordinator checks
-/// this after a worker dies to pick up the dump its fatal-signal handler
-/// left behind.
-std::string flight_dump_path_for(long pid);
-
 /// Writes every ring to flight_dump_path(), newest-first capped at ring
 /// capacity per thread, tagging the dump with `reason`. Overwrites any
 /// previous dump (the newest state is the interesting one). Safe to call

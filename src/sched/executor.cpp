@@ -1,7 +1,5 @@
 #include "sched/executor.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -67,7 +65,6 @@ struct SchedCounters {
 
 struct Executor::RunState {
   const JobGraph* graph = nullptr;
-  std::string proc_label;  // process-level worker id (fleet rank or pid)
 
   std::mutex mu;
   std::condition_variable work_cv;  // workers wait here for jobs
@@ -124,8 +121,7 @@ struct Executor::RunState {
     std::lock_guard lk(mu);
     const Progress p = progress_locked();
     obs::JsonObject o;
-    o.field("worker", std::string_view(proc_label))
-        .field("jobs", static_cast<std::uint64_t>(p.total))
+    o.field("jobs", static_cast<std::uint64_t>(p.total))
         .field("done", static_cast<std::uint64_t>(p.done))
         .field("running", static_cast<std::uint64_t>(p.running))
         .field("quarantined", static_cast<std::uint64_t>(p.quarantined))
@@ -195,9 +191,6 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
   const std::size_t n = graph.size();
   RunState rs;
   rs.graph = &graph;
-  rs.proc_label = opts_.worker_label.empty()
-                      ? "pid" + std::to_string(::getpid())
-                      : opts_.worker_label;
   rs.status.assign(n, JobStatus{});
   rs.dependents.assign(n, {});
   rs.unmet.assign(n, 0);
@@ -232,7 +225,6 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
   obs::Span span("executor.run", "sched");
   span.arg("jobs", static_cast<double>(n));
   span.arg("workers", static_cast<double>(workers_));
-  span.arg("proc", rs.proc_label);
   // The "executor" telemetry section lives exactly as long as this run's
   // RunState (the callback captures it by reference).
   obs::telemetry_register_section(
@@ -351,28 +343,38 @@ void Executor::execute(RunState& rs, int w, JobId id) {
     std::lock_guard lk(rs.mu);
     attempt = rs.status[id].attempts++;
   }
-  obs::Span span("job", "sched");
-  span.arg("job", job.name);
-  span.arg("class", std::string(to_string(job.exec_class)));
-  span.arg("attempt", static_cast<double>(attempt));
-  span.arg("worker", static_cast<double>(w));
-  span.arg("proc", rs.proc_label);
-  if (span.active()) span.arg("trace_id", job_trace_id(job.name));
-
   const JobContext ctx{id, attempt, token};
   FailureKind failure = FailureKind::None;
   std::string error;
-  const auto t0 = Clock::now();
+  double lane_wait_s = 0;
+  double run_s = 0;
   {
     // The lane: a WallClock job owns the machine; ModelTimed jobs share it.
+    // It is taken before the job span and the run timer start, so the time
+    // spent queued behind other jobs is charged to lane_wait, not to this
+    // job's run.
     std::shared_lock<std::shared_mutex> shared(rs.lane, std::defer_lock);
     std::unique_lock<std::shared_mutex> unique(rs.lane, std::defer_lock);
-    if (job.exec_class == ExecClass::WallClock) {
-      unique.lock();
-      SchedCounters::instance().exclusive_jobs.add(1);
-    } else {
-      shared.lock();
+    {
+      obs::Span wait("lane_wait", "sched");
+      wait.arg("job", job.name);
+      const auto w0 = Clock::now();
+      if (job.exec_class == ExecClass::WallClock) {
+        unique.lock();
+        SchedCounters::instance().exclusive_jobs.add(1);
+      } else {
+        shared.lock();
+      }
+      lane_wait_s = std::chrono::duration<double>(Clock::now() - w0).count();
     }
+
+    obs::Span span("job", "sched");
+    span.arg("job", job.name);
+    span.arg("class", std::string(to_string(job.exec_class)));
+    span.arg("attempt", static_cast<double>(attempt));
+    span.arg("worker", static_cast<double>(w));
+    if (span.active()) span.arg("trace_id", job_trace_id(job.name));
+    const auto t0 = Clock::now();
 
     if (job.timeout_s > 0) {
       // Deadline attempts run on a helper so an expired one can be
@@ -434,17 +436,17 @@ void Executor::execute(RunState& rs, int w, JobId id) {
         error = "unknown exception";
       }
     }
+    run_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    span.arg("outcome", std::string(failure == FailureKind::None
+                                        ? "ok"
+                                        : to_string(failure)));
   }
-  const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  span.arg("outcome", std::string(failure == FailureKind::None
-                                      ? "ok"
-                                      : to_string(failure)));
-  span.end();
-  finish(rs, w, id, failure, error, secs);
+  finish(rs, w, id, failure, error, run_s, lane_wait_s);
 }
 
 void Executor::finish(RunState& rs, int w, JobId id, FailureKind failure,
-                      const std::string& error, double attempt_s) {
+                      const std::string& error, double run_s,
+                      double lane_wait_s) {
   const Job& finished_job = rs.graph->job(id);
   std::string dump_ref;
   if (failure != FailureKind::None && obs::flight_enabled()) {
@@ -467,7 +469,8 @@ void Executor::finish(RunState& rs, int w, JobId id, FailureKind failure,
   std::lock_guard lk(rs.mu);
   JobStatus& st = rs.status[id];
   if (!dump_ref.empty()) st.flight_dump = std::move(dump_ref);
-  st.run_seconds += attempt_s;
+  st.run_seconds += run_s;
+  st.lane_wait_seconds += lane_wait_s;
   if (failure == FailureKind::None) {
     st.state = JobState::Done;
     st.failure = FailureKind::None;

@@ -18,9 +18,11 @@
 // job retries or is quarantined. Attempts without a timeout run inline on
 // the worker.
 //
-// Everything observable feeds the obs layer (sched.* counters, a "job" span
-// per attempt) plus an always-on internal tally that progress() serves even
-// when the obs layer is off.
+// Everything observable feeds the obs layer (sched.* counters, a
+// "lane_wait" span around each lane acquisition and a "job" span per
+// attempt) plus an always-on internal tally that progress() serves even when
+// the obs layer is off. Time spent waiting for the lane is never charged to
+// the job: JobStatus keeps it apart as lane_wait_seconds.
 #pragma once
 
 #include <condition_variable>
@@ -60,11 +62,6 @@ struct ExecutorOptions {
   /// run() is active, and once more just before run() returns.
   std::function<void(const Progress&)> on_progress;
   double progress_interval_s = 0.5;
-  /// Process-level worker identity ("w3" for fleet rank 3) attached to every
-  /// job span as the "proc" arg and to the executor telemetry section, so
-  /// merged traces from many worker processes attribute time per worker, not
-  /// just per thread. Empty = "pid<pid>".
-  std::string worker_label;
 };
 
 class Executor {
@@ -87,7 +84,7 @@ class Executor {
   void worker_loop(RunState& rs, int w);
   void execute(RunState& rs, int w, JobId id);
   void finish(RunState& rs, int w, JobId id, FailureKind failure,
-              const std::string& error, double attempt_s);
+              const std::string& error, double run_s, double lane_wait_s);
 
   ExecutorOptions opts_;
   int workers_;

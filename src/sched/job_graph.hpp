@@ -62,11 +62,6 @@ struct Job {
   int max_retries = 0;
   /// Base delay before a retry; attempt k waits k * retry_backoff_s.
   double retry_backoff_s = 0.05;
-  /// Cell index in the sweep's deterministic cell enumeration, or -1 for
-  /// infrastructure jobs. Tagged jobs are the unit of fleet sharding
-  /// (shard.hpp): a worker process rebuilds the enumeration locally and
-  /// runs only the cells inside its leased [begin, end) range.
-  std::int64_t shard_cell = -1;
 };
 
 enum class JobState : std::uint8_t {
@@ -87,6 +82,9 @@ struct JobStatus {
   std::string error;     // last failure description, empty when none
   int attempts = 0;      // attempts started
   double run_seconds = 0;  // summed across attempts (abandoned ones too)
+  /// Time spent waiting for the execution-class lane before each attempt
+  /// (summed across attempts); never part of run_seconds.
+  double lane_wait_seconds = 0;
   /// Path of the flight-recorder dump taken when an attempt failed (empty
   /// when the recorder is disarmed or the job never failed).
   std::string flight_dump;

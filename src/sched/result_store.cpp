@@ -166,9 +166,7 @@ ResultStore::ResultStore(std::string path) : path_(std::move(path)) {
     return;
   }
   // Fail fast if another process already appends to this journal: two
-  // writers would silently interleave (and double-repair) records. Fleet
-  // workers get their own per-rank journal files precisely so they never
-  // contend here.
+  // writers would silently interleave (and double-repair) records.
   if (!try_lock_journal(fd_)) {
     ::close(fd_);
     fd_ = -1;
@@ -258,79 +256,6 @@ bool ResultStore::checkpoint() {
               << " across the rename; another process opened it\n";
   }
   return true;
-}
-
-std::size_t ResultStore::preload(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const bool torn = !text.empty() && text.back() != '\n';
-  std::istringstream is(text);
-  std::string line;
-  std::size_t added = 0;
-  std::lock_guard lk(mu_);
-  while (std::getline(is, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    if (torn && is.eof()) break;  // same discipline as open-time repair
-    const auto parsed = decode_line(line);
-    if (!parsed) continue;
-    added += entries_.emplace(parsed->first, parsed->second).second ? 1 : 0;
-  }
-  return added;
-}
-
-MergeStats ResultStore::merge_from_file(const std::string& path) {
-  MergeStats st;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return st;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  st.torn_tail = !text.empty() && text.back() != '\n';
-  std::istringstream is(text);
-  std::string line;
-  std::lock_guard lk(mu_);
-  // Batch durability: suppress the per-append fsync for the bulk of the
-  // merge and sync once at the end. The caller unlinks the source journal
-  // only after we return, so a crash mid-merge still has every entry in
-  // the source file.
-  const bool fsync_entries = fsync_;
-  fsync_ = false;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (st.torn_tail && is.eof()) break;  // killed mid-append: drop the tail
-    if (line.front() == '#') {
-      // Preserve annotations (quarantine audit trails with their flight-dump
-      // references); the schema header is the one comment that is not one.
-      if (line.rfind("# ", 0) == 0) {
-        append_line(line + '\n');
-        ++st.comments;
-      }
-      continue;
-    }
-    auto parsed = decode_line(line);
-    if (!parsed) {
-      ++st.malformed;
-      continue;
-    }
-    const auto it = entries_.find(parsed->first);
-    if (it != entries_.end()) {
-      // Dedup by job key: the canonical entry wins. A fenced worker that
-      // finished a reassigned shard anyway lands here — for model-timed
-      // measurements both values are identical (duplicates); a differing
-      // wall-clock value is counted as a conflict but never replaces the
-      // canonical one.
-      ++(it->second == parsed->second ? st.duplicates : st.conflicts);
-      continue;
-    }
-    append_line(encode_line(parsed->first, parsed->second));
-    entries_.emplace(std::move(parsed->first), std::move(parsed->second));
-    ++appended_;
-    ++st.merged;
-  }
-  fsync_ = fsync_entries;
-  if (fsync_ && fd_ >= 0) ::fsync(fd_);
-  return st;
 }
 
 std::size_t ResultStore::size() const {

@@ -41,28 +41,13 @@ struct ResultEntry {
   friend bool operator==(const ResultEntry&, const ResultEntry&) = default;
 };
 
-/// Accounting of one merge_from_file call (fleet journal merging).
-struct MergeStats {
-  std::size_t merged = 0;      // new keys appended to this store
-  std::size_t duplicates = 0;  // keys already present with the same value
-  std::size_t conflicts = 0;   // keys already present with a different
-                               // value; the existing entry wins
-  std::size_t comments = 0;    // `# ` annotation lines carried over
-  std::size_t malformed = 0;   // undecodable lines skipped
-  bool torn_tail = false;      // source ended mid-line; tail dropped
-
-  [[nodiscard]] std::size_t total_entries() const {
-    return merged + duplicates + conflicts;
-  }
-};
-
 class ResultStore {
  public:
   /// Opens (and replays) the journal at `path`; empty path = memory-only.
   /// Takes an advisory exclusive flock on the journal so two processes
-  /// appending to the same file fail fast (std::runtime_error) instead of
-  /// silently interleaving records; readers (preload, merge_from_file) are
-  /// unaffected.
+  /// appending to the same file (two sweeps pointed at one REPRO_CACHE)
+  /// fail fast (std::runtime_error) instead of silently interleaving
+  /// records.
   explicit ResultStore(std::string path);
   ~ResultStore();
   ResultStore(const ResultStore&) = delete;
@@ -84,22 +69,6 @@ class ResultStore {
   /// temp file, fsyncs, renames over the journal. Returns false (journal
   /// intact) if anything fails. Memory-only stores return true.
   bool checkpoint();
-
-  /// Replays another journal file into memory WITHOUT journaling anything:
-  /// entries whose key is absent become in-memory hits, present keys keep
-  /// their value. A fleet worker preloads the canonical journal this way so
-  /// already-measured cells resolve as hits without re-appending them to its
-  /// own journal. Returns the number of entries added; a missing file adds
-  /// zero.
-  std::size_t preload(const std::string& path);
-
-  /// Merges another journal file into this store, journaled durably: new
-  /// keys are appended (dedup by key — an existing entry always wins), `# `
-  /// comment lines are re-annotated so audit trails survive the merge, a
-  /// torn tail in the source is dropped exactly like open-time repair. The
-  /// coordinator folds every worker journal into the canonical store with
-  /// this after a fleet run.
-  MergeStats merge_from_file(const std::string& path);
 
   [[nodiscard]] std::size_t size() const;
   /// Entries replayed from the journal when the store was opened.

@@ -1,8 +1,13 @@
 // Tests for the bench harness's ratio machinery on synthetic measurements
-// (no real sweeps here; those live in the bench binaries).
+// (no real sweeps here; those live in the bench binaries), and for the
+// shared command-line flags every bench binary parses.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bench_util/harness.hpp"
+#include "bench_util/main.hpp"
 
 namespace indigo::bench {
 namespace {
@@ -125,6 +130,58 @@ TEST(VerifiedOfModel, Filters) {
   ms.push_back(fake(Model::Cuda, Algorithm::BFS, c, "h", 1.0, false));
   EXPECT_EQ(verified_of_model(ms, Model::Cuda).size(), 1u);
   EXPECT_EQ(verified_of_model(ms, Model::OpenMP).size(), 1u);
+}
+
+/// argv-shaped view of `args` (argv[0] = "prog").
+struct Argv {
+  explicit Argv(std::vector<std::string> args) : strs(std::move(args)) {
+    strs.insert(strs.begin(), "prog");
+    for (std::string& s : strs) ptrs.push_back(s.data());
+  }
+  int argc() const { return static_cast<int>(ptrs.size()); }
+  char** argv() { return ptrs.data(); }
+
+  std::vector<std::string> strs;
+  std::vector<char*> ptrs;
+};
+
+TEST(ParseBenchArgs, ReadsSharedFlagsAndHandsBackTheRest) {
+  Argv a({"--smoke", "--model=omp", "--algo=tc", "--reps=3", "--workers=0",
+          "--bench"});
+  std::vector<std::string> rest;
+  const auto args = parse_bench_args(a.argc(), a.argv(), rest);
+  ASSERT_TRUE(args.has_value());
+  EXPECT_EQ(args->model, Model::OpenMP);
+  EXPECT_EQ(args->algo, Algorithm::TC);
+  EXPECT_EQ(args->reps, 3);
+  EXPECT_EQ(args->workers, 0);
+  EXPECT_EQ(rest, (std::vector<std::string>{"--smoke", "--bench"}));
+}
+
+TEST(ParseBenchArgs, RejectsMalformedValues) {
+  for (const char* bad :
+       {"--workers=abc", "--workers=4x", "--workers=-1", "--workers=",
+        "--workers", "--workers=99999999999", "--reps=0", "--reps=1.5",
+        "--reps=+2", "--model=gpu", "--algo="}) {
+    Argv a({bad});
+    std::vector<std::string> rest;
+    EXPECT_FALSE(parse_bench_args(a.argc(), a.argv(), rest).has_value())
+        << bad;
+  }
+}
+
+TEST(BenchMain, MalformedOrUnknownArgumentExitsTwoWithoutRunningTheBody) {
+  for (const char* bad : {"--workers=abc", "--frobnicate"}) {
+    Argv a({bad});
+    bool ran = false;
+    const int rc = Main(a.argc(), a.argv(), MainOptions{},
+                        [&](Harness&, const BenchArgs&) {
+                          ran = true;
+                          return 0;
+                        });
+    EXPECT_EQ(rc, 2) << bad;
+    EXPECT_FALSE(ran) << bad;
+  }
 }
 
 }  // namespace

@@ -194,76 +194,5 @@ TEST_F(ResultStoreTest, JournalReopensAfterHolderCloses) {
   EXPECT_EQ(again.size(), 2u);
 }
 
-TEST_F(ResultStoreTest, PreloadReadsWithoutJournalingOrLocking) {
-  const std::string other = path_ + ".other";
-  {
-    ResultStore s(other);
-    s.put("x|g|cpu|1|1", ResultEntry{1, 2, 3, true, {}});
-    s.put("y|g|cpu|1|1", ResultEntry{4, 5, 6, true, {}});
-    s.annotate("a comment preload must skip");
-
-    // Preload while `s` still holds the append flock: readers are exempt.
-    ResultStore mine(path_);
-    mine.put("x|g|cpu|1|1", ResultEntry{9, 9, 9, false, {}});
-    EXPECT_EQ(mine.preload(other), 1u);  // y added; existing x kept
-    EXPECT_EQ(mine.size(), 2u);
-    EXPECT_EQ(mine.appended(), 1u);  // preload never appends
-    EXPECT_EQ(mine.find("x|g|cpu|1|1")->seconds, 9);
-    EXPECT_EQ(mine.find("y|g|cpu|1|1")->seconds, 4);
-  }
-  std::remove(other.c_str());
-  // Preloaded entries are memory-only: a reload sees just the put().
-  ResultStore reload(path_);
-  EXPECT_EQ(reload.size(), 1u);
-}
-
-TEST_F(ResultStoreTest, MergeFromFileDedupsAndPreservesAnnotations) {
-  const std::string worker = path_ + ".w0";
-  {
-    ResultStore w(worker);
-    w.put("same|g|cpu|1|1", ResultEntry{1, 2, 3, true, {}});
-    w.put("new|g|cpu|1|1", ResultEntry{4, 5, 6, true, {}});
-    w.put("clash|g|cpu|1|1", ResultEntry{7, 7, 7, false, {}});
-    w.annotate("quarantined foo@g0 after 2 attempt(s)");
-  }
-  MergeStats ms;
-  {
-    ResultStore canonical(path_);
-    canonical.put("same|g|cpu|1|1", ResultEntry{1, 2, 3, true, {}});
-    canonical.put("clash|g|cpu|1|1", ResultEntry{8, 8, 8, true, {}});
-    ms = canonical.merge_from_file(worker);
-    EXPECT_EQ(ms.merged, 1u);      // "new"
-    EXPECT_EQ(ms.duplicates, 1u);  // "same", equal value
-    EXPECT_EQ(ms.conflicts, 1u);   // "clash": the existing entry wins
-    EXPECT_EQ(ms.comments, 1u);
-    EXPECT_EQ(canonical.find("clash|g|cpu|1|1")->seconds, 8);
-  }
-  std::remove(worker.c_str());
-  // Everything merged is durable, annotations included; a reload agrees.
-  ResultStore reload(path_);
-  EXPECT_EQ(reload.size(), 3u);
-  EXPECT_NE(slurp(path_).find("# quarantined foo@g0"), std::string::npos);
-}
-
-TEST_F(ResultStoreTest, MergeFromFileRepairsATornWorkerTail) {
-  const std::string worker = path_ + ".w1";
-  {
-    ResultStore w(worker);
-    w.put("whole|g|cpu|1|1", ResultEntry{1, 2, 3, true, {}});
-  }
-  {
-    // Simulate a SIGKILL mid-append: a record with no trailing newline.
-    std::ofstream torn(worker, std::ios::app | std::ios::binary);
-    torn << "torn|g|cpu|1|1\t0.5\t0.6";
-  }
-  ResultStore canonical(path_);
-  const MergeStats ms = canonical.merge_from_file(worker);
-  EXPECT_EQ(ms.merged, 1u);
-  EXPECT_TRUE(ms.torn_tail);
-  EXPECT_TRUE(canonical.find("whole|g|cpu|1|1").has_value());
-  EXPECT_FALSE(canonical.find("torn|g|cpu|1|1").has_value());
-  std::remove(worker.c_str());
-}
-
 }  // namespace
 }  // namespace indigo::sched

@@ -133,6 +133,38 @@ TEST(Executor, WallClockJobsNeverShareTheMachine) {
   EXPECT_EQ(violations.load(), 0);
 }
 
+TEST(Executor, LaneWaitIsNotCountedAsRunTime) {
+  // A WallClock job that reaches the lane while a ~200 ms ModelTimed job
+  // holds it must wait, and that wait is lane_wait_seconds, not run time.
+  // The gate job releases the WallClock job only once the ModelTimed body
+  // is running, i.e. holds the shared lane.
+  JobGraph jg;
+  std::atomic<bool> model_running{false};
+  const JobId m = jg.add({"model", ExecClass::ModelTimed,
+                          [&](const JobContext&) {
+                            model_running.store(true);
+                            std::this_thread::sleep_for(200ms);
+                          }});
+  const JobId gate = jg.add({"gate", ExecClass::ModelTimed,
+                             [&](const JobContext&) {
+                               while (!model_running.load()) {
+                                 std::this_thread::sleep_for(1ms);
+                               }
+                             }});
+  const JobId wall = jg.add({"wall", ExecClass::WallClock,
+                             [](const JobContext&) {
+                               std::this_thread::sleep_for(20ms);
+                             }});
+  jg.depend(wall, gate);
+
+  const auto st = make_executor(2).run(jg);
+  for (const JobStatus& s : st) EXPECT_EQ(s.state, JobState::Done);
+  EXPECT_GE(st[wall].run_seconds, 0.02);
+  EXPECT_LT(st[wall].run_seconds, 0.1);
+  EXPECT_GE(st[wall].lane_wait_seconds, 0.15);
+  EXPECT_GE(st[m].run_seconds, 0.2);
+}
+
 TEST(Executor, HangingJobTimesOutAndIsQuarantined) {
   JobGraph jg;
   auto saw_cancel = std::make_shared<std::atomic<bool>>(false);
