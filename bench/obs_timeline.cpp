@@ -45,7 +45,8 @@ struct JobAttempt {
 };
 
 /// Splits "variant@graph" into its attribution axes; false when the label
-/// is not a measurement job (materialize#i, aggregate:cuda, report, ...).
+/// is not a measurement job (any job a caller names without the "@graph"
+/// part).
 bool parse_label(const std::string& label, JobAttempt& out) {
   const std::size_t at = label.rfind('@');
   if (at == std::string::npos || at == 0) return false;
@@ -227,7 +228,7 @@ int main(int argc, char** argv) {
                 (job.style.empty() ? "" : "-" + job.style) + " x " +
                 job.graph] += job.dur_us;
       } else {
-        job.label = label;  // infrastructure job (materialize, aggregate)
+        job.label = label;  // not a measurement job
       }
       jobs.push_back(std::move(job));
     }

@@ -1,7 +1,10 @@
 #include "bench_util/harness.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -50,16 +53,6 @@ std::string device_name_of(const Variant& v, const vcuda::DeviceSpec* device) {
              : "cpu";
 }
 
-/// opts.workers == -1 defers to INDIGO_SCHED_WORKERS, where 0 selects the
-/// plain sequential loop and unset means "scheduler with its default pool".
-int resolve_sweep_workers(int requested) {
-  if (requested >= 0) return requested;
-  if (const char* env = std::getenv("INDIGO_SCHED_WORKERS")) {
-    return std::max(0, std::atoi(env));
-  }
-  return sched::Executor::resolve_workers(0);
-}
-
 /// The measurement journal's path: REPRO_CACHE, else "repro_cache.csv" in
 /// the working directory; an empty string keeps results in memory only.
 std::string env_journal_path() {
@@ -67,8 +60,8 @@ std::string env_journal_path() {
   return env != nullptr ? env : "repro_cache.csv";
 }
 
-}  // namespace
-
+/// Attempts after the first for a failing measurement
+/// (INDIGO_SCHED_RETRIES, default 1).
 int env_retries() {
   if (const char* env = std::getenv("INDIGO_SCHED_RETRIES")) {
     return std::max(0, std::atoi(env));
@@ -76,6 +69,8 @@ int env_retries() {
   return 1;
 }
 
+/// Per-attempt deadline in seconds (INDIGO_SCHED_TIMEOUT_S, default 0 =
+/// none).
 double env_timeout_s() {
   if (const char* env = std::getenv("INDIGO_SCHED_TIMEOUT_S")) {
     return std::max(0.0, std::atof(env));
@@ -83,43 +78,45 @@ double env_timeout_s() {
   return 0;  // measurements have no deadline unless asked for
 }
 
-Harness::Harness() : Harness(DeferGraphs{}) {
-  for (std::size_t i = 0; i < graphs_.size(); ++i) materialize_graph(i);
+/// Progress line for the executor's monitor thread. On a terminal the line
+/// redraws in place (`\r`); when stderr is redirected (CI logs, `2>file`)
+/// carriage returns would glue every update into one unreadable mega-line,
+/// so it emits complete newline-terminated lines instead, rate-limited so an
+/// hours-long sweep logs one line every few seconds, not per tick.
+/// `last_logged_s` is the calling sweep's rate-limit state; only the monitor
+/// thread and (after it joined) run()'s final call touch it.
+void print_progress(const sched::Progress& p, double& last_logged_s) {
+  static const bool tty = ::isatty(::fileno(stderr)) != 0;
+  const bool final = p.done == p.total;
+  if (!tty && !final && p.elapsed_s - last_logged_s < 5.0) return;
+  last_logged_s = p.elapsed_s;
+  std::fprintf(stderr,
+               "%s[sweep] %zu/%zu done, %zu running, %zu queued, "
+               "%llu steals, elapsed %.1fs, eta %.0fs%s",
+               tty ? "\r" : "", p.done, p.total, p.running, p.queue_depth,
+               static_cast<unsigned long long>(p.steals), p.elapsed_s,
+               p.eta_s < 0 ? 0.0 : p.eta_s, tty ? "   " : "\n");
+  if (tty && final) std::fputc('\n', stderr);
 }
 
-Harness::Harness(DeferGraphs) {
+}  // namespace
+
+Harness::Harness() {
   variants::register_all_variants();
   obs::init_from_env();
-  graphs_.resize(std::size(kAllInputs));
-  materialized_.assign(graphs_.size(), false);
-  verifiers_.resize(graphs_.size());
   store_ = std::make_unique<sched::ResultStore>(env_journal_path());
-}
-
-void Harness::materialize_graph(std::size_t i) {
-  std::lock_guard lk(graphs_mu_);
-  if (materialized_[i]) return;
-  obs::Span span("materialize_graph", "harness");
-  const InputClass c = kAllInputs[i];
-  graphs_[i] = make_input(c, default_input_scale(c));
-  span.arg("graph", graphs_[i].name());
-  materialized_[i] = true;
-}
-
-const std::vector<Graph>& Harness::graphs() {
-  for (std::size_t i = 0; i < graphs_.size(); ++i) materialize_graph(i);
-  return graphs_;
+  for (InputClass c : kAllInputs) {
+    obs::Span span("generate_graph", "harness");
+    graphs_.push_back(make_input(c, default_input_scale(c)));
+    span.arg("graph", graphs_.back().name());
+  }
+  verifiers_.resize(graphs_.size());
 }
 
 std::string Harness::key_for(const Variant& v, const Graph& g,
                              const vcuda::DeviceSpec* device, int reps) const {
   return make_key(v.name, g.name(), device_name_of(v, device), cpu_threads(),
                   reps);
-}
-
-bool Harness::cached(const Variant& v, const Graph& g,
-                     const vcuda::DeviceSpec* device, int reps) const {
-  return store_->find(key_for(v, g, device, reps)).has_value();
 }
 
 Verifier& Harness::verifier_for(const Graph& g) {
@@ -230,7 +227,6 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   // constructed inside the variants) read the global flag.
   racecheck::ScopedEnable rc_scope(opts.racecheck);
   const auto selected = Registry::instance().select(opts.model, opts.algo);
-  graphs();  // materialize any deferred inputs before enumerating pairs
   struct Pair {
     const Variant* v;
     const Graph* g;
@@ -245,108 +241,87 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   stats.pairs = pairs.size();
   std::vector<Measurement> out;
   out.reserve(pairs.size());
-  const int workers = resolve_sweep_workers(opts.workers);
 
-  if (workers == 0) {
-    // The plain sequential loop: the scheduler bypassed entirely. Kept as
-    // the reference path the scheduled one must reproduce bit-identically
-    // (tests/test_sched.cpp) and as the --bench baseline.
-    std::size_t done = 0;
-    for (const Pair& p : pairs) {
-      if (store_->find(key_for(*p.v, *p.g, opts.device, opts.reps))) {
-        ++stats.cache_hits;
-      } else {
-        ++stats.executed;
-      }
-      out.push_back(measure_one(*p.v, *p.g, opts.device, opts.reps));
-      if (++done % 50 == 0) std::cerr << '.' << std::flush;
+  // One job per pair missing from the journal. Model-timed vcuda jobs share
+  // the pool; wall-clock CPU jobs (and every job of an instrumented sweep,
+  // whose counter deltas must not interleave) take the exclusive lane.
+  sched::JobGraph jg;
+  std::vector<std::optional<Measurement>> slots(pairs.size());
+  std::vector<sched::JobId> job_of(pairs.size(), sched::kInvalidJob);
+  const int retries = env_retries();
+  const double timeout_s = env_timeout_s();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const Pair& p = pairs[i];
+    if (store_->find(key_for(*p.v, *p.g, opts.device, opts.reps))) {
+      ++stats.cache_hits;
+      continue;
     }
-    if (done >= 50) std::cerr << '\n';
-  } else {
-    // Thin client of the sweep runtime: one job per pair missing from the
-    // journal. Model-timed vcuda jobs share the pool; wall-clock CPU jobs
-    // (and every job of an instrumented sweep, whose counter deltas must
-    // not interleave) take the exclusive lane.
-    sched::JobGraph jg;
-    std::vector<std::optional<Measurement>> slots(pairs.size());
-    std::vector<sched::JobId> job_of(pairs.size(), sched::kInvalidJob);
-    std::atomic<std::size_t> dots{0};
-    const int retries = env_retries();
-    const double timeout_s = env_timeout_s();
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const Pair& p = pairs[i];
-      if (store_->find(key_for(*p.v, *p.g, opts.device, opts.reps))) {
-        ++stats.cache_hits;
-        continue;
-      }
-      sched::Job j;
-      j.name = p.v->name + "@" + p.g->name();
-      j.exec_class =
-          p.v->model == Model::Cuda && !obs::enabled() && !racecheck::enabled()
-              ? sched::ExecClass::ModelTimed
-              : sched::ExecClass::WallClock;
-      j.timeout_s = timeout_s;
-      j.max_retries = retries;
-      j.work = [this, i, &slots, &pairs, &opts,
-                &dots](const sched::JobContext&) {
-        const Pair& q = pairs[i];
-        slots[i] = measure_one(*q.v, *q.g, opts.device, opts.reps);
-        if ((dots.fetch_add(1, std::memory_order_relaxed) + 1) % 50 == 0) {
-          std::cerr << '.' << std::flush;
-        }
-      };
-      job_of[i] = jg.add(std::move(j));
+    sched::Job j;
+    j.name = p.v->name + "@" + p.g->name();
+    j.exec_class =
+        p.v->model == Model::Cuda && !obs::enabled() && !racecheck::enabled()
+            ? sched::ExecClass::ModelTimed
+            : sched::ExecClass::WallClock;
+    j.timeout_s = timeout_s;
+    j.max_retries = retries;
+    j.work = [this, i, &slots, &pairs, &opts](const sched::JobContext&) {
+      const Pair& q = pairs[i];
+      slots[i] = measure_one(*q.v, *q.g, opts.device, opts.reps);
+    };
+    job_of[i] = jg.add(std::move(j));
+  }
+  std::vector<sched::JobStatus> statuses;
+  if (jg.size() > 0) {
+    sched::ExecutorOptions eo;
+    eo.num_workers = opts.workers;
+    // Journal hits never become jobs, so the executor's done/elapsed rate
+    // (and its ETA) counts only cells that really run.
+    eo.on_progress = [last_logged_s = -1e9](const sched::Progress& p) mutable {
+      print_progress(p, last_logged_s);
+    };
+    statuses = sched::Executor(eo).run(jg);
+    // Compact first: checkpoint() drops comment lines, so the quarantine
+    // annotations below must come after it to survive.
+    store_->checkpoint();
+  }
+  // Merge in deterministic pair order, independent of completion order.
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (slots[i]) {
+      ++stats.executed;
+      out.push_back(std::move(*slots[i]));
+      continue;
     }
-    std::vector<sched::JobStatus> statuses;
-    if (jg.size() > 0) {
-      sched::ExecutorOptions eo;
-      eo.num_workers = workers;
-      statuses = sched::Executor(eo).run(jg);
+    if (job_of[i] == sched::kInvalidJob) {
+      out.push_back(  // journal hit; resolves without running anything
+          measure_one(*pairs[i].v, *pairs[i].g, opts.device, opts.reps));
+      continue;
     }
-    if (dots.load() >= 50) std::cerr << '\n';
-    // Merge in deterministic pair order, independent of completion order.
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (slots[i]) {
-        ++stats.executed;
-        out.push_back(std::move(*slots[i]));
-        continue;
-      }
-      if (job_of[i] == sched::kInvalidJob) {
-        out.push_back(  // journal hit; resolves without running anything
-            measure_one(*pairs[i].v, *pairs[i].g, opts.device, opts.reps));
-        continue;
-      }
-      // The job never produced a measurement: quarantined (hung or threw
-      // outside measure_one's own catch). Record-and-exclude, like the
-      // paper excludes failed runs; downstream filters on `verified`.
-      ++stats.quarantined;
-      const Pair& p = pairs[i];
-      const sched::JobStatus& st = statuses[job_of[i]];
-      Measurement m;
-      m.program = p.v->name;
-      m.model = p.v->model;
-      m.algo = p.v->algo;
-      m.style = p.v->style;
-      m.graph = p.g->name();
-      m.verified = false;
-      m.error = "quarantined: " + st.error;
-      // Leave an audit trail in the journal (as a comment, so a resumed
-      // sweep still retries the pair) pointing at the flight dump the
-      // executor took when the last attempt failed.
-      store_->annotate("quarantined " + p.v->name + "@" + m.graph + " after " +
-                       std::to_string(st.attempts) + " attempt(s): " +
-                       st.error +
-                       (st.flight_dump.empty()
-                            ? std::string()
-                            : " (flight dump: " + st.flight_dump + ")"));
-      std::cerr << "\n[warn] " << m.program << " on " << m.graph << ' '
-                << m.error;
-      if (!st.flight_dump.empty()) {
-        std::cerr << " (flight dump: " << st.flight_dump << ')';
-      }
-      std::cerr << '\n';
-      out.push_back(std::move(m));
-    }
+    // The job never produced a measurement: quarantined (hung or threw
+    // outside measure_one's own catch). Record-and-exclude, like the paper
+    // excludes failed runs; downstream filters on `verified`.
+    ++stats.quarantined;
+    const Pair& p = pairs[i];
+    const sched::JobStatus& st = statuses[job_of[i]];
+    Measurement m;
+    m.program = p.v->name;
+    m.model = p.v->model;
+    m.algo = p.v->algo;
+    m.style = p.v->style;
+    m.graph = p.g->name();
+    m.verified = false;
+    m.error = "quarantined: " + st.error;
+    const std::string dump = st.flight_dump.empty()
+                                 ? std::string()
+                                 : " (flight dump: " + st.flight_dump + ")";
+    // Leave an audit trail in the journal (as a comment, so a resumed sweep
+    // still retries the pair) pointing at the flight dump the executor took
+    // when the last attempt failed.
+    store_->annotate("quarantined " + p.v->name + "@" + m.graph + " after " +
+                     std::to_string(st.attempts) + " attempt(s): " + st.error +
+                     dump);
+    std::cerr << "[warn] " << m.program << " on " << m.graph << ' '
+              << m.error << dump << '\n';
+    out.push_back(std::move(m));
   }
   // Capacity rejections are a validity outcome, not an error: count them
   // from the (journal-stable) metrics so resumes report the same number.

@@ -3,11 +3,13 @@
 // A Harness owns the five study inputs, runs (variant x graph) sweeps with
 // verification, and memoizes every measurement in a journaled result store
 // (src/sched/result_store.hpp) so the ~20 bench binaries can share one
-// full-suite sweep instead of re-running it. Sweeps execute through the
-// sweep runtime (src/sched): model-timed vcuda jobs run concurrently on a
-// work-stealing pool while wall-clock CPU jobs serialize through the
-// exclusive lane, so parallelism never distorts a reported CPU time (see
-// docs/SWEEP_RUNTIME.md). Ratio utilities implement the paper's
+// full-suite sweep instead of re-running it. sweep() is the one place that
+// turns (variant x graph) cells into jobs; bench/sweep_all runs the whole
+// study through it. Sweeps execute through the sweep runtime (src/sched):
+// model-timed vcuda jobs run concurrently on a work-stealing pool while
+// wall-clock CPU jobs serialize through the exclusive lane, so parallelism
+// never distorts a reported CPU time (see docs/SWEEP_RUNTIME.md). Ratio
+// utilities implement the paper's
 // methodology (Section 5 preamble): to compare two alternatives of one
 // style dimension, pair up programs that are identical in every other
 // dimension and divide their throughputs.
@@ -31,13 +33,6 @@
 
 namespace indigo::bench {
 
-/// Sweep robustness knobs (docs/SWEEP_RUNTIME.md), parsed only here:
-/// attempts after the first for a failing measurement (INDIGO_SCHED_RETRIES,
-/// default 1) and the per-attempt deadline in seconds
-/// (INDIGO_SCHED_TIMEOUT_S, default 0 = none).
-int env_retries();
-double env_timeout_s();
-
 struct SweepOptions {
   std::optional<Model> model;
   std::optional<Algorithm> algo;
@@ -46,10 +41,9 @@ struct SweepOptions {
   /// Only variants whose style passes this predicate (nullptr = all).
   std::function<bool(const Variant&)> style_filter;
   int reps = 1;
-  /// Scheduler pool for this sweep: -1 = resolve INDIGO_SCHED_WORKERS (its
-  /// default is a small pool), 0 = the plain sequential loop bypassing the
-  /// scheduler entirely, N > 0 = a pool of exactly N workers.
-  int workers = -1;
+  /// Scheduler pool for this sweep: N > 0 = exactly N workers, <= 0 = the
+  /// executor's default (INDIGO_SCHED_WORKERS, else a small pool).
+  int workers = 0;
   /// Run every measurement under the race/determinism checker (see
   /// docs/RACECHECK.md). Checked jobs take the exclusive lane so their
   /// global tallies never interleave, and their journal entries are keyed
@@ -68,41 +62,25 @@ struct SweepStats {
 
 class Harness {
  public:
-  /// Registers all variants, generates the study inputs at their default
-  /// scales, and opens the journaled measurement store at REPRO_CACHE
-  /// (default "repro_cache.csv"; empty keeps results in memory only).
+  /// Registers all variants, opens the journaled measurement store at
+  /// REPRO_CACHE (default "repro_cache.csv"; empty keeps results in memory
+  /// only), and generates the five study inputs at their default scales.
   Harness();
 
-  /// Deferred mode: everything except the graphs, which materialize on
-  /// first use - materialize_graph(i) builds one, graphs() builds the rest.
-  /// Lets an orchestrator schedule graph materialization as explicit jobs
-  /// ahead of the measurements that depend on them (bench/sweep_all).
-  struct DeferGraphs {};
-  explicit Harness(DeferGraphs);
-
-  /// All five study inputs, materializing any still deferred.
-  [[nodiscard]] const std::vector<Graph>& graphs();
-  [[nodiscard]] std::size_t num_graphs() const { return graphs_.size(); }
-  /// Generates graph i if it is still deferred (thread-safe, idempotent).
-  void materialize_graph(std::size_t i);
-  /// Graph i, which must have been materialized.
-  [[nodiscard]] const Graph& graph(std::size_t i) const { return graphs_[i]; }
+  /// The five study inputs.
+  [[nodiscard]] const std::vector<Graph>& graphs() const { return graphs_; }
 
   /// Measures every selected (variant, graph) pair through the sweep
-  /// runtime; journaled results are reused. Prints a progress dot stream to
-  /// stderr. The returned order is deterministic (registry x graph order)
+  /// runtime: one job per pair missing from the journal; journaled results
+  /// are reused. Streams a progress line to stderr while jobs run, then
+  /// checkpoints the journal and annotates it with any quarantined pairs.
+  /// The returned order is deterministic (registry x graph order)
   /// regardless of the worker count.
   std::vector<Measurement> sweep(const SweepOptions& opts);
 
   /// Convenience: one measurement (journaled). Thread-safe.
   Measurement measure_one(const Variant& v, const Graph& g,
                           const vcuda::DeviceSpec* device, int reps);
-
-  /// Whether measure_one would be served from the journal (for the same
-  /// rep count — multi-rep entries carry their own journal keys).
-  [[nodiscard]] bool cached(const Variant& v, const Graph& g,
-                            const vcuda::DeviceSpec* device,
-                            int reps = 1) const;
 
   /// Outcome counts of the most recent sweep().
   [[nodiscard]] const SweepStats& last_sweep_stats() const { return stats_; }
@@ -119,8 +97,6 @@ class Harness {
   Verifier& verifier_for(const Graph& g);
 
   std::vector<Graph> graphs_;
-  std::vector<bool> materialized_;
-  std::mutex graphs_mu_;
   std::unique_ptr<sched::ResultStore> store_;
   std::vector<std::unique_ptr<Verifier>> verifiers_;
   std::mutex verifiers_mu_;

@@ -46,7 +46,7 @@ void print_usage(const char* prog) {
   std::cerr << "usage: " << prog
             << " [--model=cuda|omp|cpp] [--algo=cc|mis|pr|tc|bfs|sssp]"
                " [--reps=N] [--workers=N]\n"
-               "  --workers=0 runs the plain sequential sweep loop;"
+               "  --workers=N sizes the sweep-runtime pool (N >= 1);"
                " see docs/SWEEP_RUNTIME.md\n";
 }
 
@@ -83,7 +83,7 @@ std::optional<BenchArgs> parse_bench_args(int argc, char** argv,
     } else if (key == "--reps") {
       ok = ok && parse_count(val, 1, args.reps);
     } else if (key == "--workers") {
-      ok = ok && parse_count(val, 0, args.workers);
+      ok = ok && parse_count(val, 1, args.workers);
     } else {
       rest.push_back(arg);
       continue;

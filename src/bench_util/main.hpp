@@ -1,10 +1,11 @@
 // Shared entry point for the per-figure bench binaries.
 //
-// Every binary used to open with the same boilerplate: construct the
-// Harness, print the figure banner, run sweeps, return exit_code(). Main()
-// factors that out and adds a uniform CLI (--model / --algo / --reps /
-// --workers) so any figure can be re-derived on a subset of the study or
-// through a specific sweep-runtime pool size without editing code.
+// Main() factors out the boilerplate a bench binary opens with - construct
+// the Harness, print the figure banner, run sweeps, return exit_code() - and
+// adds a uniform CLI (--model / --algo / --reps / --workers) so a figure can
+// be re-derived on a subset of the study or through a specific
+// sweep-runtime pool size without editing code. fig05, fig14 and obs_report
+// use it; sweep_all reads the same flags through parse_bench_args.
 #pragma once
 
 #include <functional>
@@ -20,12 +21,12 @@ namespace indigo::bench {
 ///   --model=cuda|omp|cpp   restrict sweeps to one programming model
 ///   --algo=bfs|sssp|...    restrict sweeps to one algorithm
 ///   --reps=N               repetitions per measurement (median reported)
-///   --workers=N            sweep-runtime pool (0 = sequential reference)
+///   --workers=N            sweep-runtime pool of N >= 1 workers
 struct BenchArgs {
   std::optional<Model> model;
   std::optional<Algorithm> algo;
   int reps = 1;
-  int workers = -1;  // -1 = INDIGO_SCHED_WORKERS / scheduler default
+  int workers = 0;  // 0 = INDIGO_SCHED_WORKERS / scheduler default
 
   /// SweepOptions prefilled with these overrides.
   [[nodiscard]] SweepOptions sweep() const;
@@ -34,7 +35,7 @@ struct BenchArgs {
 };
 
 /// Parses the shared flags of argv[1..argc) into a BenchArgs. Numbers must
-/// be whole decimal values (--reps > 0, --workers >= 0); a malformed value
+/// be whole decimal values (--reps > 0, --workers > 0); a malformed value
 /// prints "bad argument" and returns nullopt. Arguments that are not shared
 /// flags are appended to `rest`, in order, for the caller to interpret.
 std::optional<BenchArgs> parse_bench_args(int argc, char** argv,

@@ -6,8 +6,8 @@
 // one with its Progress and per-job attempt states) — and a Prometheus-style
 // text exposition next to it. Every snapshot is stamped with the process id,
 // a stable process trace id, and a monotonically increasing sequence number,
-// so snapshots from many worker processes can be merged later and ordered
-// per producer.
+// so snapshots from successive runs (a killed sweep and its resume) can be
+// told apart and ordered.
 //
 // Publishing is write-temp + rename: a reader (or a CI artifact collector
 // racing a SIGKILL) always sees a complete, parseable snapshot — the

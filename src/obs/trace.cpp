@@ -226,7 +226,8 @@ bool write_chrome_trace(const std::string& path) {
     return false;
   }
   // Records are stamped with the real pid and the stable process trace id
-  // so traces from many worker processes merge without tid/pid collisions.
+  // so traces of several runs (a killed sweep and its resume) merge without
+  // tid/pid collisions.
   const auto pid = static_cast<std::uint64_t>(::getpid());
   out << "{\"traceEvents\":[";
   bool first = true;

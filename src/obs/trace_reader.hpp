@@ -5,7 +5,8 @@
 // (flight_recorder.cpp — Chrome-trace-compatible with extra top-level
 // keys), and telemetry snapshots. This reader parses any of them with a
 // small self-contained JSON parser, so post-run tools (bench/obs_timeline)
-// can merge per-process streams without an external JSON dependency.
+// can merge the streams of several runs (a live trace plus crash dumps)
+// without an external JSON dependency.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -170,8 +172,15 @@ Executor::Executor(ExecutorOptions opts)
 int Executor::resolve_workers(int requested) {
   if (requested > 0) return std::min(requested, 256);
   if (const char* env = std::getenv("INDIGO_SCHED_WORKERS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return std::min(v, 256);
+    const std::string_view s(env);
+    int v = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || ptr != s.data() + s.size() || v < 1) {
+      throw std::invalid_argument(
+          "INDIGO_SCHED_WORKERS must be a whole number >= 1, got \"" +
+          std::string(s) + '"');
+    }
+    return std::min(v, 256);
   }
   // Default: one worker per hardware thread, capped at 8. Oversubscribing a
   // small box only adds context-switch overhead to the CPU-bound ModelTimed

@@ -54,9 +54,9 @@ struct Progress {
 };
 
 struct ExecutorOptions {
-  /// Worker threads. <= 0 resolves INDIGO_SCHED_WORKERS, else
-  /// max(2, min(hardware_concurrency, 8)) - at least 2 so the scheduler
-  /// machinery is genuinely exercised (same rationale as cpu_threads()).
+  /// Worker threads. <= 0 resolves INDIGO_SCHED_WORKERS (a whole number
+  /// >= 1; anything else throws std::invalid_argument), else
+  /// max(1, min(hardware_concurrency, 8)).
   int num_workers = 0;
   /// Invoked from a monitor thread roughly every progress_interval_s while
   /// run() is active, and once more just before run() returns.
@@ -76,7 +76,8 @@ class Executor {
   [[nodiscard]] int num_workers() const { return workers_; }
 
   /// Resolution used for ExecutorOptions::num_workers (exposed for callers
-  /// that want to report the effective pool size).
+  /// that want to report the effective pool size). The only reader of
+  /// INDIGO_SCHED_WORKERS.
   static int resolve_workers(int requested);
 
  private:

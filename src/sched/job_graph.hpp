@@ -1,10 +1,10 @@
 // Sweep runtime, part 1: the job model.
 //
-// The paper's experiment is ~1034 independent (variant x graph) measurements
-// plus a handful of ordered stages around them (materialize the input,
-// measure, verify, aggregate). A JobGraph captures exactly that: a DAG of
-// named jobs with explicit dependencies, each tagged with an execution class
-// that tells the Executor (executor.hpp) how the job may share the machine:
+// The paper's experiment is ~1034 independent (variant x graph) measurements.
+// A JobGraph holds them as a DAG of named jobs (Harness::sweep builds one
+// job per unjournaled cell; the DAG also allows explicit dependencies), each
+// tagged with an execution class that tells the Executor (executor.hpp) how
+// the job may share the machine:
 //
 //   ModelTimed  - the job's metric comes from the vcuda analytic timing
 //                 model, not the wall clock, so any number of them may run
@@ -98,7 +98,7 @@ class JobGraph {
 
   /// Declares that `job` may only start after `on` reached a terminal
   /// state (Done or Quarantined - dependents of a quarantined job still
-  /// run, so one crashing measurement cannot starve the aggregation).
+  /// run, so one crashing job cannot starve the jobs after it).
   void depend(JobId job, JobId on);
 
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }

@@ -146,21 +146,22 @@ struct Argv {
 };
 
 TEST(ParseBenchArgs, ReadsSharedFlagsAndHandsBackTheRest) {
-  Argv a({"--smoke", "--model=omp", "--algo=tc", "--reps=3", "--workers=0",
-          "--bench"});
+  Argv a({"--smoke", "--model=omp", "--algo=tc", "--reps=3", "--workers=2",
+          "--frobnicate"});
   std::vector<std::string> rest;
   const auto args = parse_bench_args(a.argc(), a.argv(), rest);
   ASSERT_TRUE(args.has_value());
   EXPECT_EQ(args->model, Model::OpenMP);
   EXPECT_EQ(args->algo, Algorithm::TC);
   EXPECT_EQ(args->reps, 3);
-  EXPECT_EQ(args->workers, 0);
-  EXPECT_EQ(rest, (std::vector<std::string>{"--smoke", "--bench"}));
+  EXPECT_EQ(args->workers, 2);
+  EXPECT_EQ(rest, (std::vector<std::string>{"--smoke", "--frobnicate"}));
 }
 
 TEST(ParseBenchArgs, RejectsMalformedValues) {
   for (const char* bad :
-       {"--workers=abc", "--workers=4x", "--workers=-1", "--workers=",
+       {"--workers=abc", "--workers=4x", "--workers=-1", "--workers=0",
+        "--workers=",
         "--workers", "--workers=99999999999", "--reps=0", "--reps=1.5",
         "--reps=+2", "--model=gpu", "--algo="}) {
     Argv a({bad});

@@ -1,8 +1,8 @@
 // Tests of the sweep runtime (src/sched): dependency ordering, the
-// execution-class lane, deadline/retry/quarantine robustness, and the
-// harness integration - a scheduled sweep must be indistinguishable from
-// the sequential reference loop (bit-identical results, zero re-executions
-// on resume).
+// execution-class lane, deadline/retry/quarantine robustness, worker-count
+// resolution, and the harness integration - a sweep on a pool must be
+// indistinguishable from the same sweep on one worker (bit-identical
+// results, zero re-executions on resume, quarantine notes kept).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -265,6 +266,31 @@ TEST(Executor, ReportsProgressWithEta) {
   EXPECT_GE(seen.back().eta_s, 0);
 }
 
+TEST(Executor, ResolveWorkersParsesTheEnvStrictly) {
+  const char* outer = std::getenv("INDIGO_SCHED_WORKERS");
+  const std::string saved = outer != nullptr ? outer : "";
+  EXPECT_EQ(Executor::resolve_workers(3), 3);  // explicit wins over the env
+  setenv("INDIGO_SCHED_WORKERS", "5", 1);
+  EXPECT_EQ(Executor::resolve_workers(0), 5);
+  EXPECT_EQ(Executor::resolve_workers(-1), 5);
+  for (const char* bad : {"0", "abc", "4x", "-1", "", " 2", "+2",
+                          "99999999999"}) {
+    setenv("INDIGO_SCHED_WORKERS", bad, 1);
+    try {
+      Executor::resolve_workers(0);
+      ADD_FAILURE() << "accepted INDIGO_SCHED_WORKERS=\"" << bad << '"';
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find("INDIGO_SCHED_WORKERS"),
+                std::string::npos)
+          << ex.what();
+    }
+  }
+  unsetenv("INDIGO_SCHED_WORKERS");
+  EXPECT_GE(Executor::resolve_workers(0), 1);
+  EXPECT_LE(Executor::resolve_workers(0), 8);
+  if (outer != nullptr) setenv("INDIGO_SCHED_WORKERS", saved.c_str(), 1);
+}
+
 // --- Harness integration -------------------------------------------------
 
 class SchedSweepTest : public testing::Test {
@@ -278,6 +304,7 @@ class SchedSweepTest : public testing::Test {
     std::remove((base_ + "_par.csv").c_str());
     unsetenv("REPRO_CACHE");
     unsetenv("REPRO_SCALE");
+    unsetenv("INDIGO_SCHED_RETRIES");
   }
 
   static std::string slurp(const std::string& p) {
@@ -296,7 +323,7 @@ TEST_F(SchedSweepTest, ScheduledSweepMatchesSequentialBitForBit) {
 
   setenv("REPRO_CACHE", (base_ + "_seq.csv").c_str(), 1);
   bench::Harness seq;
-  sw.workers = 0;  // the plain sequential reference loop
+  sw.workers = 1;  // one worker runs the cells one at a time in pair order
   const auto ms_seq = seq.sweep(sw);
   ASSERT_TRUE(seq.result_store().checkpoint());
 
@@ -347,6 +374,49 @@ TEST_F(SchedSweepTest, ResumedSweepReExecutesNothing) {
     EXPECT_EQ(h.last_sweep_stats().cache_hits, total);
     EXPECT_EQ(h.last_sweep_stats().executed, 0u);
     EXPECT_EQ(h.result_store().appended(), 0u);
+  }
+}
+
+TEST_F(SchedSweepTest, QuarantineNotesSurviveTheSweepCheckpoint) {
+  setenv("REPRO_CACHE", (base_ + "_seq.csv").c_str(), 1);
+  setenv("INDIGO_SCHED_RETRIES", "0", 1);
+  bench::Harness h;
+  // A program whose run throws a non-std::exception: measure_one does not
+  // catch it, so every attempt fails and the executor quarantines the cell.
+  // OpenMP has no warp granularity, so no generated variant has this style.
+  // It stays registered for the rest of the process; no other test here
+  // sweeps OpenMP BFS.
+  Variant bad;
+  bad.model = Model::OpenMP;
+  bad.algo = Algorithm::BFS;
+  bad.style.gran = Granularity::Warp;
+  bad.name = program_name(bad.model, bad.algo, bad.style) + "-throws";
+  bad.run = [](const Graph&, const RunOptions&) -> RunResult { throw 42; };
+  Registry::instance().add(bad);
+
+  bench::SweepOptions sw;
+  sw.model = bad.model;
+  sw.algo = bad.algo;
+  sw.workers = kPool;
+  sw.style_filter = [&](const Variant& v) { return v.name == bad.name; };
+  testing::internal::CaptureStderr();
+  const auto ms = h.sweep(sw);
+  testing::internal::GetCapturedStderr();
+
+  ASSERT_EQ(ms.size(), h.graphs().size());
+  EXPECT_EQ(h.last_sweep_stats().quarantined, ms.size());
+  for (const Measurement& m : ms) {
+    EXPECT_FALSE(m.verified);
+    EXPECT_EQ(m.error.rfind("quarantined: ", 0), 0u) << m.error;
+  }
+  // The sweep checkpointed (which drops comments) before annotating, so
+  // every quarantine note is still in the journal.
+  const std::string journal = slurp(base_ + "_seq.csv");
+  for (const Graph& g : h.graphs()) {
+    EXPECT_NE(journal.find("# quarantined " + bad.name + "@" + g.name() +
+                           " after 1 attempt(s): unknown exception"),
+              std::string::npos)
+        << g.name() << " missing from:\n" << journal;
   }
 }
 
