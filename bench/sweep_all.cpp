@@ -9,7 +9,9 @@
 //
 // The sweep is one process with N worker threads. The executor's exclusive
 // lane keeps every wall-clock (omp/cpp) measurement alone on the machine;
-// the model-timed cuda cells share it. See docs/SWEEP_RUNTIME.md.
+// the model-timed cuda cells share it. The wall-clock cells run as one batch
+// once no cuda cell is left to start, so a fresh sweep without retries
+// prints `lane batches: 1`. See docs/SWEEP_RUNTIME.md.
 //
 // Flags:
 //   --smoke        tiny inputs (REPRO_SCALE=0) and BFS only; used by CI's
@@ -150,6 +152,7 @@ int main(int argc, char** argv) {
             << "%), executed: " << st.executed
             << ", quarantined: " << st.quarantined
             << ", re-executed: " << re_executed << '\n'
+            << "[sweep] lane batches: " << st.lane_batches << '\n'
             << "[sweep] wall: " << wall_s << "s on " << sw.workers
             << " workers; journal: " << h.result_store().path() << " ("
             << h.result_store().size() << " entries)\n";

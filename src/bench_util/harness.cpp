@@ -276,8 +276,12 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
     eo.num_workers = opts.workers;
     // Journal hits never become jobs, so the executor's done/elapsed rate
     // (and its ETA) counts only cells that really run.
-    eo.on_progress = [last_logged_s = -1e9](const sched::Progress& p) mutable {
+    // The monitor thread has joined before run() makes its final call, so
+    // `stats` is written by one thread at a time.
+    eo.on_progress = [last_logged_s = -1e9,
+                      &stats](const sched::Progress& p) mutable {
       print_progress(p, last_logged_s);
+      stats.lane_batches = p.lane_batches;
     };
     statuses = sched::Executor(eo).run(jg);
     // Compact first: checkpoint() drops comment lines, so the quarantine

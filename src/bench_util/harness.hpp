@@ -15,6 +15,7 @@
 // dimension and divide their throughputs.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,6 +59,7 @@ struct SweepStats {
   std::size_t executed = 0;     // measured fresh by this sweep
   std::size_t quarantined = 0;  // failed every attempt; excluded
   std::size_t oom_rejected = 0;  // exceeded modeled device memory
+  std::uint64_t lane_batches = 0;  // exclusive wall-clock phases the run took
 };
 
 class Harness {

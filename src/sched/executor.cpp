@@ -47,6 +47,7 @@ struct SchedCounters {
   obs::Counter& timeouts;
   obs::Counter& quarantined;
   obs::Counter& exclusive_jobs;
+  obs::Counter& lane_batches;
   obs::Distribution& queue_depth;
 
   static SchedCounters& instance() {
@@ -58,6 +59,7 @@ struct SchedCounters {
                            reg.counter("sched.timeouts"),
                            reg.counter("sched.quarantined"),
                            reg.counter("sched.exclusive_jobs"),
+                           reg.counter("sched.lane_batches"),
                            reg.distribution("sched.queue_depth")};
     return c;
   }
@@ -76,15 +78,21 @@ struct Executor::RunState {
   std::vector<JobStatus> status;
   std::vector<std::vector<JobId>> dependents;
   std::vector<int> unmet;
-  std::vector<std::deque<JobId>> queues;  // one per worker
+  std::vector<std::deque<JobId>> queues;  // ready ModelTimed, one per worker
+  std::deque<JobId> exclusive;            // ready WallClock, FIFO
   using Delayed = std::pair<Clock::time_point, JobId>;
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<>> delayed;
   std::size_t terminal = 0;
   std::size_t running = 0;
   bool stop_monitor = false;
 
-  // The execution-class lane: ModelTimed shared, WallClock unique.
-  std::shared_mutex lane;
+  // The execution-class lane. A batch owner (-1 = none) starts no job of
+  // its own until model_running drains to 0, and while it holds the lane no
+  // ModelTimed job starts.
+  std::size_t model_running = 0;
+  int lane_owner = -1;
+  std::uint64_t lane_batches = 0;
+  std::condition_variable drain_cv;  // the owner waits here for the drain
 
   // Always-on tallies, served by progress() even with the obs layer off.
   std::atomic<std::uint64_t> steals{0}, retries{0}, timeouts{0},
@@ -93,9 +101,59 @@ struct Executor::RunState {
   Clock::time_point t0;
 
   [[nodiscard]] std::size_t ready_depth_locked() const {
-    std::size_t n = delayed.size();
+    std::size_t n = delayed.size() + exclusive.size();
     for (const auto& q : queues) n += q.size();
     return n;
+  }
+
+  /// Makes `id` ready: WallClock jobs join the exclusive queue, ModelTimed
+  /// jobs worker w's deque.
+  void enqueue_locked(int w, JobId id) {
+    if (graph->job(id).exec_class == ExecClass::WallClock) {
+      exclusive.push_back(id);
+    } else {
+      queues[static_cast<std::size_t>(w)].push_back(id);
+    }
+  }
+
+  /// Moves the retries whose backoff has expired into the ready queues.
+  void release_due_locked(int w) {
+    if (delayed.empty()) return;
+    const auto now = Clock::now();
+    while (!delayed.empty() && delayed.top().first <= now) {
+      enqueue_locked(w, delayed.top().second);
+      delayed.pop();
+    }
+  }
+
+  /// A ready ModelTimed job: the front of w's own deque, else the back of
+  /// the first non-empty victim's. kInvalidJob when none is ready.
+  JobId take_model_locked(int w) {
+    auto& own = queues[static_cast<std::size_t>(w)];
+    if (!own.empty()) {
+      const JobId id = own.front();
+      own.pop_front();
+      return id;
+    }
+    const int k_max = static_cast<int>(queues.size());
+    for (int k = 1; k < k_max; ++k) {
+      auto& victim = queues[static_cast<std::size_t>((w + k) % k_max)];
+      if (!victim.empty()) {
+        const JobId id = victim.back();
+        victim.pop_back();
+        steals.fetch_add(1, std::memory_order_relaxed);
+        SchedCounters::instance().steals.add(1);
+        return id;
+      }
+    }
+    return kInvalidJob;
+  }
+
+  void start_locked(JobId id) {
+    SchedCounters::instance().queue_depth.record(
+        static_cast<double>(ready_depth_locked()));
+    status[id].state = JobState::Running;
+    ++running;
   }
 
   [[nodiscard]] Progress progress_locked() const {
@@ -108,6 +166,7 @@ struct Executor::RunState {
     p.steals = steals.load(std::memory_order_relaxed);
     p.retries = retries.load(std::memory_order_relaxed);
     p.timeouts = timeouts.load(std::memory_order_relaxed);
+    p.lane_batches = lane_batches;
     p.elapsed_s = std::chrono::duration<double>(Clock::now() - t0).count();
     p.eta_s = p.done > 0 ? p.elapsed_s * static_cast<double>(p.total - p.done) /
                                static_cast<double>(p.done)
@@ -131,6 +190,7 @@ struct Executor::RunState {
         .field("steals", p.steals)
         .field("retries", p.retries)
         .field("timeouts", p.timeouts)
+        .field("lane_batches", p.lane_batches)
         .field("elapsed_s", p.elapsed_s)
         .field("eta_s", p.eta_s);
     constexpr std::size_t kMaxListed = 32;
@@ -242,13 +302,13 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
     ~SectionGuard() { obs::telemetry_unregister_section("executor"); }
   } section_guard;
 
-  // Seed the frontier round-robin across the workers' deques; stealing
-  // rebalances from there.
+  // Seed the frontier: ModelTimed jobs round-robin across the workers'
+  // deques (stealing rebalances from there), WallClock jobs in job order
+  // into the exclusive queue.
   {
     int w = 0;
     for (JobId j = 0; j < n; ++j) {
-      if (rs.unmet[j] != 0) continue;
-      rs.queues[static_cast<std::size_t>(w++ % workers_)].push_back(j);
+      if (rs.unmet[j] == 0) rs.enqueue_locked(w++ % workers_, j);
     }
   }
 
@@ -302,49 +362,76 @@ void Executor::worker_loop(RunState& rs, int w) {
   const std::size_t n = rs.graph->size();
   std::unique_lock lk(rs.mu);
   while (rs.terminal < n) {
-    JobId id = kInvalidJob;
-    auto& own = rs.queues[static_cast<std::size_t>(w)];
-    if (!own.empty()) {
-      id = own.front();
-      own.pop_front();
-    } else {
-      for (int k = 1; k < workers_ && id == kInvalidJob; ++k) {
-        auto& victim = rs.queues[static_cast<std::size_t>((w + k) % workers_)];
-        if (!victim.empty()) {
-          id = victim.back();
-          victim.pop_back();
-          rs.steals.fetch_add(1, std::memory_order_relaxed);
-          SchedCounters::instance().steals.add(1);
-        }
-      }
-    }
-    if (id == kInvalidJob && !rs.delayed.empty()) {
-      const auto now = Clock::now();
-      if (rs.delayed.top().first <= now) {
-        id = rs.delayed.top().second;
-        rs.delayed.pop();
-      } else {
-        rs.work_cv.wait_until(lk, rs.delayed.top().first);
-        continue;
-      }
-    }
-    if (id == kInvalidJob) {
-      rs.work_cv.wait(lk);
+    rs.release_due_locked(w);
+    if (rs.lane_owner >= 0) {
+      rs.work_cv.wait(lk);  // a batch holds the lane; nothing else starts
       continue;
     }
-    SchedCounters::instance().queue_depth.record(
-        static_cast<double>(rs.ready_depth_locked()));
-    rs.status[id].state = JobState::Running;
-    ++rs.running;
-    lk.unlock();
-    execute(rs, w, id);
-    lk.lock();
-    --rs.running;
+    const JobId id = rs.take_model_locked(w);
+    if (id != kInvalidJob) {
+      rs.start_locked(id);
+      ++rs.model_running;
+      lk.unlock();
+      execute(rs, w, id, 0);
+      lk.lock();
+      --rs.running;
+      if (--rs.model_running == 0 && rs.lane_owner >= 0) {
+        rs.drain_cv.notify_one();
+      }
+      continue;
+    }
+    // No ModelTimed job is ready: the moment to run the exclusive phase.
+    if (!rs.exclusive.empty()) {
+      run_batch(rs, w, lk);
+      continue;
+    }
+    if (rs.delayed.empty()) {
+      rs.work_cv.wait(lk);
+    } else {
+      rs.work_cv.wait_until(lk, rs.delayed.top().first);
+    }
   }
   rs.work_cv.notify_all();  // cascade shutdown to still-waiting workers
 }
 
-void Executor::execute(RunState& rs, int w, JobId id) {
+void Executor::run_batch(RunState& rs, int w, std::unique_lock<std::mutex>& lk) {
+  // Claim the lane, then wait once for the in-flight ModelTimed jobs. Only
+  // the owner pops the exclusive queue, so its front stays the first job
+  // while the lock is dropped.
+  rs.lane_owner = w;
+  ++rs.lane_batches;
+  SchedCounters::instance().lane_batches.add(1);
+  const JobId first = rs.exclusive.front();
+  lk.unlock();
+  obs::Span wait("lane_wait", "sched");
+  wait.arg("job", rs.graph->job(first).name);
+  const auto w0 = Clock::now();
+  lk.lock();
+  rs.drain_cv.wait(lk, [&] { return rs.model_running == 0; });
+  lk.unlock();
+  double lane_wait_s = std::chrono::duration<double>(Clock::now() - w0).count();
+  wait.end();
+  lk.lock();
+
+  // The whole exclusive queue back to back, including WallClock jobs that
+  // finishing jobs or expired backoffs make ready meanwhile.
+  while (!rs.exclusive.empty()) {
+    const JobId id = rs.exclusive.front();
+    rs.exclusive.pop_front();
+    rs.start_locked(id);
+    SchedCounters::instance().exclusive_jobs.add(1);
+    lk.unlock();
+    execute(rs, w, id, lane_wait_s);
+    lane_wait_s = 0;
+    lk.lock();
+    --rs.running;
+    rs.release_due_locked(w);
+  }
+  rs.lane_owner = -1;
+  rs.work_cv.notify_all();
+}
+
+void Executor::execute(RunState& rs, int w, JobId id, double lane_wait_s) {
   const Job& job = rs.graph->job(id);
   auto token = std::make_shared<std::atomic<bool>>(false);
   int attempt = 0;
@@ -355,28 +442,12 @@ void Executor::execute(RunState& rs, int w, JobId id) {
   const JobContext ctx{id, attempt, token};
   FailureKind failure = FailureKind::None;
   std::string error;
-  double lane_wait_s = 0;
   double run_s = 0;
+  // A timed-out WallClock attempt, still running: joined after finish() so
+  // the batch owner neither starts the next exclusive job nor releases the
+  // lane while the abandoned body can still touch the machine.
+  std::thread abandoned;
   {
-    // The lane: a WallClock job owns the machine; ModelTimed jobs share it.
-    // It is taken before the job span and the run timer start, so the time
-    // spent queued behind other jobs is charged to lane_wait, not to this
-    // job's run.
-    std::shared_lock<std::shared_mutex> shared(rs.lane, std::defer_lock);
-    std::unique_lock<std::shared_mutex> unique(rs.lane, std::defer_lock);
-    {
-      obs::Span wait("lane_wait", "sched");
-      wait.arg("job", job.name);
-      const auto w0 = Clock::now();
-      if (job.exec_class == ExecClass::WallClock) {
-        unique.lock();
-        SchedCounters::instance().exclusive_jobs.add(1);
-      } else {
-        shared.lock();
-      }
-      lane_wait_s = std::chrono::duration<double>(Clock::now() - w0).count();
-    }
-
     obs::Span span("job", "sched");
     span.arg("job", job.name);
     span.arg("class", std::string(to_string(job.exec_class)));
@@ -428,7 +499,11 @@ void Executor::execute(RunState& rs, int w, JobId id) {
       } else {
         al.unlock();
         token->store(true, std::memory_order_relaxed);
-        helper.detach();
+        if (job.exec_class == ExecClass::WallClock) {
+          abandoned = std::move(helper);
+        } else {
+          helper.detach();
+        }
         failure = FailureKind::Timeout;
         error = "deadline of " + std::to_string(job.timeout_s) + "s expired";
         rs.timeouts.fetch_add(1, std::memory_order_relaxed);
@@ -451,6 +526,11 @@ void Executor::execute(RunState& rs, int w, JobId id) {
                                         : to_string(failure)));
   }
   finish(rs, w, id, failure, error, run_s, lane_wait_s);
+  if (abandoned.joinable()) {
+    obs::Span span("abandoned_wait", "sched");
+    span.arg("job", job.name);
+    abandoned.join();
+  }
 }
 
 void Executor::finish(RunState& rs, int w, JobId id, FailureKind failure,
@@ -508,12 +588,11 @@ void Executor::finish(RunState& rs, int w, JobId id, FailureKind failure,
     SchedCounters::instance().quarantined.add(1);
   }
   ++rs.terminal;
-  // Release dependents onto the finishing worker's own deque (locality);
-  // idle workers will steal from its back.
+  // Release ModelTimed dependents onto the finishing worker's own deque
+  // (locality; idle workers will steal from its back) and WallClock ones
+  // into the exclusive queue.
   for (JobId d : rs.dependents[id]) {
-    if (--rs.unmet[d] == 0) {
-      rs.queues[static_cast<std::size_t>(w)].push_back(d);
-    }
+    if (--rs.unmet[d] == 0) rs.enqueue_locked(w, d);
   }
   rs.work_cv.notify_all();
   if (rs.terminal == rs.graph->size()) rs.done_cv.notify_all();

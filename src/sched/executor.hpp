@@ -1,28 +1,35 @@
 // Sweep runtime, part 2: the work-stealing executor.
 //
-// A worker pool drains a JobGraph. Each worker owns a deque; jobs released
-// by a finishing dependency are pushed onto the finisher's own deque (the
-// dependent usually touches the data the finisher just produced), and idle
-// workers steal from the *back* of a victim's deque, classic work-stealing
-// style. Retries wait in a time-ordered heap until their backoff expires.
+// A worker pool drains a JobGraph. Each worker owns a deque of ready
+// ModelTimed jobs; jobs released by a finishing dependency are pushed onto
+// the finisher's own deque (the dependent usually touches the data the
+// finisher just produced), and idle workers steal from the *back* of a
+// victim's deque, classic work-stealing style. Retries wait in a
+// time-ordered heap until their backoff expires.
 //
-// The execution-class invariant (job_graph.hpp) is enforced with a
-// shared_mutex "lane": ModelTimed jobs run under a shared lock, WallClock
-// jobs under the unique lock, so a wall-clock-timed measurement never
-// shares the machine with anything - not even a model-timed job burning
-// cores in the simulator.
+// The execution-class invariant (job_graph.hpp) is enforced by running the
+// WallClock jobs in phases. Ready WallClock jobs wait in one FIFO exclusive
+// queue, not in the deques. A worker that finds no ModelTimed job ready
+// claims the lane: from then on no ModelTimed job starts, the owner waits
+// once for the in-flight ones to drain, runs the whole exclusive queue back
+// to back - so a wall-clock-timed measurement never shares the machine with
+// anything, not even a model-timed job burning cores in the simulator - and
+// releases the lane. The lane (a running-ModelTimed count plus one batch
+// owner) is scheduler state guarded by the run's mutex.
 //
 // Deadlines: an attempt with a timeout runs on a helper thread. If it does
-// not finish in time the attempt is abandoned (helper detached, cancel
-// token set - bodies poll JobContext::cancelled() to stop promptly) and the
-// job retries or is quarantined. Attempts without a timeout run inline on
-// the worker.
+// not finish in time the attempt is abandoned (cancel token set - bodies
+// poll JobContext::cancelled() to stop promptly) and the job retries or is
+// quarantined. An abandoned ModelTimed helper is detached; an abandoned
+// WallClock helper is joined before the batch owner starts the next
+// exclusive job or releases the lane. Attempts without a timeout run inline
+// on the worker.
 //
 // Everything observable feeds the obs layer (sched.* counters, a
-// "lane_wait" span around each lane acquisition and a "job" span per
-// attempt) plus an always-on internal tally that progress() serves even when
-// the obs layer is off. Time spent waiting for the lane is never charged to
-// the job: JobStatus keeps it apart as lane_wait_seconds.
+// "lane_wait" span around each batch's drain and a "job" span per attempt)
+// plus an always-on internal tally that progress() serves even when the obs
+// layer is off. Time spent waiting for the lane is never charged to a job:
+// the first job of a batch carries the drain as its lane_wait_seconds.
 #pragma once
 
 #include <condition_variable>
@@ -31,7 +38,6 @@
 #include <functional>
 #include <mutex>
 #include <queue>
-#include <shared_mutex>
 #include <vector>
 
 #include "sched/job_graph.hpp"
@@ -48,6 +54,7 @@ struct Progress {
   std::uint64_t steals = 0;
   std::uint64_t retries = 0;
   std::uint64_t timeouts = 0;
+  std::uint64_t lane_batches = 0;  // lane claims (one per exclusive batch)
   double elapsed_s = 0;
   /// Naive rate estimate; < 0 while nothing finished yet.
   double eta_s = -1;
@@ -83,7 +90,8 @@ class Executor {
  private:
   struct RunState;
   void worker_loop(RunState& rs, int w);
-  void execute(RunState& rs, int w, JobId id);
+  void run_batch(RunState& rs, int w, std::unique_lock<std::mutex>& lk);
+  void execute(RunState& rs, int w, JobId id, double lane_wait_s);
   void finish(RunState& rs, int w, JobId id, FailureKind failure,
               const std::string& error, double run_s, double lane_wait_s);
 

@@ -12,7 +12,9 @@
 //   WallClock   - the job's metric IS the wall clock (OpenMP / C++-threads
 //                 measurements). These serialize through an exclusive lane:
 //                 while one runs, nothing else does, so oversubscription
-//                 can never leak into a reported CPU time.
+//                 can never leak into a reported CPU time. The Executor runs
+//                 the ready ones as one batch whenever no ModelTimed job is
+//                 left to start, instead of draining the pool once per job.
 //
 // Robustness knobs (deadline, bounded retry with backoff) live on the Job;
 // a job that still fails after its retries is *quarantined* - recorded and
@@ -82,8 +84,9 @@ struct JobStatus {
   std::string error;     // last failure description, empty when none
   int attempts = 0;      // attempts started
   double run_seconds = 0;  // summed across attempts (abandoned ones too)
-  /// Time spent waiting for the execution-class lane before each attempt
-  /// (summed across attempts); never part of run_seconds.
+  /// Time spent waiting for the execution-class lane (summed across
+  /// attempts); never part of run_seconds. The first job of an exclusive
+  /// batch carries the batch's drain wait; every other job reads 0.
   double lane_wait_seconds = 0;
   /// Path of the flight-recorder dump taken when an attempt failed (empty
   /// when the recorder is disarmed or the job never failed).

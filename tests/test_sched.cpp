@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util/harness.hpp"
@@ -164,6 +166,134 @@ TEST(Executor, LaneWaitIsNotCountedAsRunTime) {
   EXPECT_LT(st[wall].run_seconds, 0.1);
   EXPECT_GE(st[wall].lane_wait_seconds, 0.15);
   EXPECT_GE(st[m].run_seconds, 0.2);
+}
+
+TEST(Executor, WallClockJobsRunAsOneContiguousBatch) {
+  // With no dependencies every WallClock job is ready from the start, so
+  // the lane is claimed once, after the last ModelTimed job started, and
+  // the WallClock bodies run back to back with nothing in between.
+  JobGraph jg;
+  std::mutex mu;
+  std::string events;  // body starts/ends: 'M'/'m' ModelTimed, 'W'/'w' WallClock
+  auto body = [&](char start, std::chrono::milliseconds d) {
+    return [&, start, d](const JobContext&) {
+      {
+        std::lock_guard lk(mu);
+        events += start;
+      }
+      std::this_thread::sleep_for(d);
+      std::lock_guard lk(mu);
+      events += static_cast<char>(start - 'A' + 'a');
+    };
+  };
+  constexpr int kModel = 12;
+  constexpr int kWall = 6;
+  for (int i = 0; i < kModel + kWall; ++i) {
+    // Interleaved in job order, as Harness::sweep builds a mixed selection.
+    if (i % 3 == 2) {
+      jg.add({"w" + std::to_string(i), ExecClass::WallClock, body('W', 1ms)});
+    } else {
+      jg.add({"m" + std::to_string(i), ExecClass::ModelTimed, body('M', 3ms)});
+    }
+  }
+  ExecutorOptions eo;
+  eo.num_workers = kPool;
+  std::uint64_t lane_batches = 0;
+  eo.on_progress = [&](const Progress& p) { lane_batches = p.lane_batches; };
+  const auto st = Executor(eo).run(jg);
+  for (const JobStatus& s : st) EXPECT_EQ(s.state, JobState::Done);
+  EXPECT_EQ(lane_batches, 1u);
+
+  ASSERT_EQ(events.size(), 2u * (kModel + kWall));
+  std::string batch;
+  for (int k = 0; k < kWall; ++k) batch += "Ww";
+  EXPECT_EQ(events.substr(events.find('W'), batch.size()), batch) << events;
+}
+
+TEST(Executor, ReleasedAndRetriedWallClockJobsStillRunExclusively) {
+  // A WallClock job released mid-run by a ModelTimed dependency, and one
+  // that throws once before it succeeds, both still run alone.
+  JobGraph jg;
+  std::atomic<int> active_wall{0};
+  std::atomic<int> active_model{0};
+  std::atomic<int> violations{0};
+  auto wall_body = [&](const JobContext&) {
+    if (active_wall.fetch_add(1) != 0 || active_model.load() != 0) {
+      violations.fetch_add(1);
+    }
+    std::this_thread::sleep_for(3ms);
+    if (active_wall.load() != 1 || active_model.load() != 0) {
+      violations.fetch_add(1);
+    }
+    active_wall.fetch_sub(1);
+  };
+  auto model_body = [&](const JobContext&) {
+    active_model.fetch_add(1);
+    if (active_wall.load() != 0) violations.fetch_add(1);
+    std::this_thread::sleep_for(4ms);
+    active_model.fetch_sub(1);
+  };
+  const JobId gate = jg.add({"gate", ExecClass::ModelTimed, model_body});
+  const JobId released =
+      jg.add({"released", ExecClass::WallClock, wall_body});
+  jg.depend(released, gate);
+  std::atomic<int> flaky_calls{0};
+  Job flaky{"flaky", ExecClass::WallClock,
+            [&](const JobContext& ctx) {
+              wall_body(ctx);
+              if (flaky_calls.fetch_add(1) == 0) {
+                throw std::runtime_error("transient");
+              }
+            }};
+  flaky.max_retries = 1;
+  flaky.retry_backoff_s = 0.01;
+  const JobId f = jg.add(std::move(flaky));
+  for (int i = 0; i < 12; ++i) {
+    jg.add({"m" + std::to_string(i), ExecClass::ModelTimed, model_body});
+  }
+  jg.add({"w", ExecClass::WallClock, wall_body});
+
+  const auto st = make_executor().run(jg);
+  for (const JobStatus& s : st) EXPECT_EQ(s.state, JobState::Done);
+  EXPECT_EQ(st[f].attempts, 2);
+  EXPECT_EQ(st[released].attempts, 1);
+  EXPECT_EQ(violations.load(), 0);
+}
+
+TEST(Executor, TimedOutWallClockAttemptKeepsTheLaneUntilItsBodyExits) {
+  // A finite WallClock body that ignores its cancel token overruns its
+  // deadline. The attempt is abandoned, but neither the next WallClock job
+  // nor the ModelTimed job released by the quarantine may start until the
+  // abandoned body has returned.
+  JobGraph jg;
+  std::atomic<int> active{0};
+  std::atomic<int> violations{0};
+  std::atomic<bool> overrun_exited{false};
+  Job overrun{"overrun", ExecClass::WallClock, [&](const JobContext&) {
+                active.fetch_add(1);
+                std::this_thread::sleep_for(300ms);
+                active.fetch_sub(1);
+                overrun_exited.store(true);
+              }};
+  overrun.timeout_s = 0.05;
+  const JobId o = jg.add(std::move(overrun));
+  auto check_alone = [&](const JobContext&) {
+    if (active.fetch_add(1) != 0) violations.fetch_add(1);
+    std::this_thread::sleep_for(2ms);
+    active.fetch_sub(1);
+  };
+  const JobId next = jg.add({"next", ExecClass::WallClock, check_alone});
+  const JobId after = jg.add({"after", ExecClass::ModelTimed, check_alone});
+  jg.depend(after, o);
+
+  const auto st = make_executor().run(jg);
+  EXPECT_EQ(st[o].state, JobState::Quarantined);
+  EXPECT_EQ(st[o].failure, FailureKind::Timeout);
+  EXPECT_LT(st[o].run_seconds, 0.25);  // charged up to the deadline only
+  EXPECT_EQ(st[next].state, JobState::Done);
+  EXPECT_EQ(st[after].state, JobState::Done);
+  EXPECT_TRUE(overrun_exited.load());  // joined before run() returned
+  EXPECT_EQ(violations.load(), 0);
 }
 
 TEST(Executor, HangingJobTimesOutAndIsQuarantined) {
