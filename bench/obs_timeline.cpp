@@ -8,7 +8,7 @@
 //   * total measured time by algorithm, by graph, and by style (the
 //     algorithm x style x graph cells, ranked),
 //   * the executor's breakdown: worker-busy vs stall time, time spent
-//     waiting for the execution-class lane, steals, retries, timeouts,
+//     waiting for the execution-class lane, retries, timeouts,
 //     quarantines,
 //   * the top-N slowest job attempts with worker/attempt/outcome.
 //
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   double busy_us = 0;
   double lane_wait_us = 0;
   double run_dur_us = 0, run_workers = 0;
-  double steals = 0, retries = 0, timeouts = 0, quarantined = 0;
+  double retries = 0, timeouts = 0, quarantined = 0;
   std::size_t parsed_files = 0, total_events = 0;
 
   for (const std::string& path : paths) {
@@ -171,8 +171,7 @@ int main(int argc, char** argv) {
           run_workers = std::max(run_workers, w->second);
         }
         for (const auto& [key, slot] :
-             {std::pair<const char*, double*>{"steals", &steals},
-              {"retries", &retries},
+             {std::pair<const char*, double*>{"retries", &retries},
               {"timeouts", &timeouts},
               {"quarantined", &quarantined}}) {
           if (const auto it = ev.num_args.find(key);
@@ -261,9 +260,8 @@ int main(int argc, char** argv) {
     std::printf("  worker stall    %12s\n", fmt_ms(stall_us).c_str());
     std::printf("  lane wait       %12s  (inside stall)\n",
                 fmt_ms(lane_wait_us).c_str());
-    std::printf("  steals %.0f, retries %.0f, timeouts %.0f, "
-                "quarantined %.0f\n",
-                steals, retries, timeouts, quarantined);
+    std::printf("  retries %.0f, timeouts %.0f, quarantined %.0f\n",
+                retries, timeouts, quarantined);
   }
 
   if (launches_seen > 0) {

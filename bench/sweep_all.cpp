@@ -133,7 +133,14 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   bench::Harness h;
   const std::size_t journal_at_start = h.result_store().size();
-  const std::vector<Measurement> ms = h.sweep(sw);
+  std::vector<Measurement> ms;
+  try {
+    ms = h.sweep(sw);
+  } catch (const std::invalid_argument& ex) {  // a malformed INDIGO_SCHED_*
+    obs::telemetry_stop();
+    std::cerr << "[error] " << ex.what() << '\n';
+    return 2;
+  }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

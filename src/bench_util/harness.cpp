@@ -3,12 +3,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 #include "graph/csr.hpp"
 #include "obs/counters.hpp"
@@ -61,21 +65,38 @@ std::string env_journal_path() {
 }
 
 /// Attempts after the first for a failing measurement
-/// (INDIGO_SCHED_RETRIES, default 1).
+/// (INDIGO_SCHED_RETRIES: a whole number >= 0, default 1). Anything else
+/// throws std::invalid_argument naming the variable.
 int env_retries() {
-  if (const char* env = std::getenv("INDIGO_SCHED_RETRIES")) {
-    return std::max(0, std::atoi(env));
+  const char* env = std::getenv("INDIGO_SCHED_RETRIES");
+  if (env == nullptr) return 1;
+  const std::string_view s(env);
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size() || v < 0) {
+    throw std::invalid_argument(
+        "INDIGO_SCHED_RETRIES must be a whole number >= 0, got \"" +
+        std::string(s) + '"');
   }
-  return 1;
+  return v;
 }
 
-/// Per-attempt deadline in seconds (INDIGO_SCHED_TIMEOUT_S, default 0 =
-/// none).
+/// Per-attempt deadline in seconds (INDIGO_SCHED_TIMEOUT_S: a finite
+/// decimal >= 0, default 0 = none). Anything else throws
+/// std::invalid_argument naming the variable.
 double env_timeout_s() {
-  if (const char* env = std::getenv("INDIGO_SCHED_TIMEOUT_S")) {
-    return std::max(0.0, std::atof(env));
+  const char* env = std::getenv("INDIGO_SCHED_TIMEOUT_S");
+  if (env == nullptr) return 0;
+  const std::string_view s(env);
+  double v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size() || !std::isfinite(v) ||
+      v < 0) {
+    throw std::invalid_argument(
+        "INDIGO_SCHED_TIMEOUT_S must be a finite decimal >= 0, got \"" +
+        std::string(s) + '"');
   }
-  return 0;  // measurements have no deadline unless asked for
+  return v;
 }
 
 /// Progress line for the executor's monitor thread. On a terminal the line
@@ -92,10 +113,9 @@ void print_progress(const sched::Progress& p, double& last_logged_s) {
   last_logged_s = p.elapsed_s;
   std::fprintf(stderr,
                "%s[sweep] %zu/%zu done, %zu running, %zu queued, "
-               "%llu steals, elapsed %.1fs, eta %.0fs%s",
+               "elapsed %.1fs, eta %.0fs%s",
                tty ? "\r" : "", p.done, p.total, p.running, p.queue_depth,
-               static_cast<unsigned long long>(p.steals), p.elapsed_s,
-               p.eta_s < 0 ? 0.0 : p.eta_s, tty ? "   " : "\n");
+               p.elapsed_s, p.eta_s < 0 ? 0.0 : p.eta_s, tty ? "   " : "\n");
   if (tty && final) std::fputc('\n', stderr);
 }
 
@@ -188,6 +208,11 @@ Measurement Harness::measure_one(const Variant& v, const Graph& g,
   Measurement m;
   try {
     m = measure(v, g, opts, reps, verifier_for(g));
+    // An attempt that overran its deadline is not journaled, even when the
+    // run itself completed (CPU variants never check the deadline).
+    vcuda::throw_if_past_deadline();
+  } catch (const vcuda::DeadlineError&) {
+    throw;  // the executor records a timeout; a resumed sweep retries
   } catch (const vcuda::DeviceOomError& ex) {
     // A modeled capacity rejection, not a code failure: record it as a
     // validity outcome. The metrics map is journaled, so the OOM survives
@@ -222,6 +247,8 @@ Measurement Harness::measure_one(const Variant& v, const Graph& g,
 }
 
 std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
+  const int retries = env_retries();
+  const double timeout_s = env_timeout_s();
   obs::Span span("sweep", "harness");
   // Ambient enable for the whole sweep: measure_one (and the vcuda Devices
   // constructed inside the variants) read the global flag.
@@ -248,8 +275,6 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   sched::JobGraph jg;
   std::vector<std::optional<Measurement>> slots(pairs.size());
   std::vector<sched::JobId> job_of(pairs.size(), sched::kInvalidJob);
-  const int retries = env_retries();
-  const double timeout_s = env_timeout_s();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const Pair& p = pairs[i];
     if (store_->find(key_for(*p.v, *p.g, opts.device, opts.reps))) {
@@ -264,7 +289,10 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
             : sched::ExecClass::WallClock;
     j.timeout_s = timeout_s;
     j.max_retries = retries;
-    j.work = [this, i, &slots, &pairs, &opts](const sched::JobContext&) {
+    // Every attempt ends inside Executor::run, so the references into this
+    // frame outlive it.
+    j.work = [this, i, &slots, &pairs, &opts](const sched::JobContext& ctx) {
+      const vcuda::DeadlineScope deadline(ctx.deadline);
       const Pair& q = pairs[i];
       slots[i] = measure_one(*q.v, *q.g, opts.device, opts.reps);
     };

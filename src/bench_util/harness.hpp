@@ -6,13 +6,14 @@
 // full-suite sweep instead of re-running it. sweep() is the one place that
 // turns (variant x graph) cells into jobs; bench/sweep_all runs the whole
 // study through it. Sweeps execute through the sweep runtime (src/sched):
-// model-timed vcuda jobs run concurrently on a work-stealing pool while
-// wall-clock CPU jobs serialize through the exclusive lane, so parallelism
-// never distorts a reported CPU time (see docs/SWEEP_RUNTIME.md). Ratio
-// utilities implement the paper's
-// methodology (Section 5 preamble): to compare two alternatives of one
-// style dimension, pair up programs that are identical in every other
-// dimension and divide their throughputs.
+// model-timed vcuda jobs run concurrently, taken in cell order from one
+// FIFO by a worker pool, while wall-clock CPU jobs serialize through the
+// exclusive lane, so parallelism never distorts a reported CPU time. A
+// per-attempt deadline (INDIGO_SCHED_TIMEOUT_S) takes effect at a cuda
+// cell's next kernel launch (see docs/SWEEP_RUNTIME.md). Ratio utilities
+// implement the paper's methodology (Section 5 preamble): to compare two
+// alternatives of one style dimension, pair up programs that are identical
+// in every other dimension and divide their throughputs.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +78,14 @@ class Harness {
   /// are reused. Streams a progress line to stderr while jobs run, then
   /// checkpoints the journal and annotates it with any quarantined pairs.
   /// The returned order is deterministic (registry x graph order)
-  /// regardless of the worker count.
+  /// regardless of the worker count. Throws std::invalid_argument, before
+  /// running anything, when INDIGO_SCHED_RETRIES or INDIGO_SCHED_TIMEOUT_S
+  /// is malformed.
   std::vector<Measurement> sweep(const SweepOptions& opts);
 
-  /// Convenience: one measurement (journaled). Thread-safe.
+  /// Convenience: one measurement (journaled). Thread-safe. Throws
+  /// vcuda::DeadlineError, journaling nothing, when the calling thread's
+  /// deadline (vcuda::DeadlineScope) passes before it is done.
   Measurement measure_one(const Variant& v, const Graph& g,
                           const vcuda::DeviceSpec* device, int reps);
 

@@ -1,12 +1,13 @@
 #include "sched/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <deque>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -42,7 +43,6 @@ std::string job_trace_id(const std::string& name) {
 struct SchedCounters {
   obs::Counter& jobs;
   obs::Counter& done;
-  obs::Counter& steals;
   obs::Counter& retries;
   obs::Counter& timeouts;
   obs::Counter& quarantined;
@@ -54,7 +54,6 @@ struct SchedCounters {
     auto& reg = obs::CounterRegistry::instance();
     static SchedCounters c{reg.counter("sched.jobs"),
                            reg.counter("sched.done"),
-                           reg.counter("sched.steals"),
                            reg.counter("sched.retries"),
                            reg.counter("sched.timeouts"),
                            reg.counter("sched.quarantined"),
@@ -76,77 +75,48 @@ struct Executor::RunState {
 
   // Guarded by mu:
   std::vector<JobStatus> status;
-  std::vector<std::vector<JobId>> dependents;
-  std::vector<int> unmet;
-  std::vector<std::deque<JobId>> queues;  // ready ModelTimed, one per worker
-  std::deque<JobId> exclusive;            // ready WallClock, FIFO
+  std::deque<JobId> model_ready;  // ready ModelTimed, FIFO
+  std::deque<JobId> exclusive;    // ready WallClock, FIFO
   using Delayed = std::pair<Clock::time_point, JobId>;
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<>> delayed;
   std::size_t terminal = 0;
   std::size_t running = 0;
   bool stop_monitor = false;
 
-  // The execution-class lane. A batch owner (-1 = none) starts no job of
-  // its own until model_running drains to 0, and while it holds the lane no
+  // The execution-class lane. The batch owner starts no job of its own
+  // until model_running drains to 0, and while the lane is claimed no
   // ModelTimed job starts.
   std::size_t model_running = 0;
-  int lane_owner = -1;
-  std::uint64_t lane_batches = 0;
+  bool lane_claimed = false;
   std::condition_variable drain_cv;  // the owner waits here for the drain
 
   // Always-on tallies, served by progress() even with the obs layer off.
-  std::atomic<std::uint64_t> steals{0}, retries{0}, timeouts{0},
-      quarantined{0};
+  std::uint64_t lane_batches = 0, retries = 0, timeouts = 0, quarantined = 0;
 
   Clock::time_point t0;
 
   [[nodiscard]] std::size_t ready_depth_locked() const {
-    std::size_t n = delayed.size() + exclusive.size();
-    for (const auto& q : queues) n += q.size();
-    return n;
+    return delayed.size() + exclusive.size() + model_ready.size();
   }
 
   /// Makes `id` ready: WallClock jobs join the exclusive queue, ModelTimed
-  /// jobs worker w's deque.
-  void enqueue_locked(int w, JobId id) {
+  /// jobs the model FIFO.
+  void enqueue_locked(JobId id) {
     if (graph->job(id).exec_class == ExecClass::WallClock) {
       exclusive.push_back(id);
     } else {
-      queues[static_cast<std::size_t>(w)].push_back(id);
+      model_ready.push_back(id);
     }
   }
 
   /// Moves the retries whose backoff has expired into the ready queues.
-  void release_due_locked(int w) {
+  void release_due_locked() {
     if (delayed.empty()) return;
     const auto now = Clock::now();
     while (!delayed.empty() && delayed.top().first <= now) {
-      enqueue_locked(w, delayed.top().second);
+      enqueue_locked(delayed.top().second);
       delayed.pop();
     }
-  }
-
-  /// A ready ModelTimed job: the front of w's own deque, else the back of
-  /// the first non-empty victim's. kInvalidJob when none is ready.
-  JobId take_model_locked(int w) {
-    auto& own = queues[static_cast<std::size_t>(w)];
-    if (!own.empty()) {
-      const JobId id = own.front();
-      own.pop_front();
-      return id;
-    }
-    const int k_max = static_cast<int>(queues.size());
-    for (int k = 1; k < k_max; ++k) {
-      auto& victim = queues[static_cast<std::size_t>((w + k) % k_max)];
-      if (!victim.empty()) {
-        const JobId id = victim.back();
-        victim.pop_back();
-        steals.fetch_add(1, std::memory_order_relaxed);
-        SchedCounters::instance().steals.add(1);
-        return id;
-      }
-    }
-    return kInvalidJob;
   }
 
   void start_locked(JobId id) {
@@ -161,11 +131,10 @@ struct Executor::RunState {
     p.total = graph->size();
     p.done = terminal;
     p.running = running;
-    p.quarantined = quarantined.load(std::memory_order_relaxed);
+    p.quarantined = quarantined;
     p.queue_depth = ready_depth_locked();
-    p.steals = steals.load(std::memory_order_relaxed);
-    p.retries = retries.load(std::memory_order_relaxed);
-    p.timeouts = timeouts.load(std::memory_order_relaxed);
+    p.retries = retries;
+    p.timeouts = timeouts;
     p.lane_batches = lane_batches;
     p.elapsed_s = std::chrono::duration<double>(Clock::now() - t0).count();
     p.eta_s = p.done > 0 ? p.elapsed_s * static_cast<double>(p.total - p.done) /
@@ -187,7 +156,6 @@ struct Executor::RunState {
         .field("running", static_cast<std::uint64_t>(p.running))
         .field("quarantined", static_cast<std::uint64_t>(p.quarantined))
         .field("queue_depth", static_cast<std::uint64_t>(p.queue_depth))
-        .field("steals", p.steals)
         .field("retries", p.retries)
         .field("timeouts", p.timeouts)
         .field("lane_batches", p.lane_batches)
@@ -261,33 +229,7 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
   RunState rs;
   rs.graph = &graph;
   rs.status.assign(n, JobStatus{});
-  rs.dependents.assign(n, {});
-  rs.unmet.assign(n, 0);
-  rs.queues.assign(static_cast<std::size_t>(workers_), {});
   rs.t0 = Clock::now();
-  for (JobId j = 0; j < n; ++j) {
-    for (JobId on : graph.deps(j)) {
-      rs.dependents[on].push_back(j);
-      ++rs.unmet[j];
-    }
-  }
-  // Kahn pass: every job must be reachable from the zero-dep frontier.
-  {
-    std::vector<int> unmet = rs.unmet;
-    std::vector<JobId> order;
-    order.reserve(n);
-    for (JobId j = 0; j < n; ++j) {
-      if (unmet[j] == 0) order.push_back(j);
-    }
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      for (JobId d : rs.dependents[order[k]]) {
-        if (--unmet[d] == 0) order.push_back(d);
-      }
-    }
-    if (order.size() != n) {
-      throw std::invalid_argument("Executor::run: dependency cycle");
-    }
-  }
   if (n == 0) return {};
   SchedCounters::instance().jobs.add(n);
 
@@ -302,15 +244,7 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
     ~SectionGuard() { obs::telemetry_unregister_section("executor"); }
   } section_guard;
 
-  // Seed the frontier: ModelTimed jobs round-robin across the workers'
-  // deques (stealing rebalances from there), WallClock jobs in job order
-  // into the exclusive queue.
-  {
-    int w = 0;
-    for (JobId j = 0; j < n; ++j) {
-      if (rs.unmet[j] == 0) rs.enqueue_locked(w++ % workers_, j);
-    }
-  }
+  for (JobId j = 0; j < n; ++j) rs.enqueue_locked(j);
 
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers_));
@@ -346,14 +280,9 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
     std::lock_guard lk(rs.mu);
     opts_.on_progress(rs.progress_locked());
   }
-  span.arg("steals", static_cast<double>(
-                         rs.steals.load(std::memory_order_relaxed)));
-  span.arg("retries", static_cast<double>(
-                          rs.retries.load(std::memory_order_relaxed)));
-  span.arg("timeouts", static_cast<double>(
-                           rs.timeouts.load(std::memory_order_relaxed)));
-  span.arg("quarantined", static_cast<double>(
-                              rs.quarantined.load(std::memory_order_relaxed)));
+  span.arg("retries", static_cast<double>(rs.retries));
+  span.arg("timeouts", static_cast<double>(rs.timeouts));
+  span.arg("quarantined", static_cast<double>(rs.quarantined));
   span.end();
   return std::move(rs.status);
 }
@@ -362,20 +291,21 @@ void Executor::worker_loop(RunState& rs, int w) {
   const std::size_t n = rs.graph->size();
   std::unique_lock lk(rs.mu);
   while (rs.terminal < n) {
-    rs.release_due_locked(w);
-    if (rs.lane_owner >= 0) {
+    rs.release_due_locked();
+    if (rs.lane_claimed) {
       rs.work_cv.wait(lk);  // a batch holds the lane; nothing else starts
       continue;
     }
-    const JobId id = rs.take_model_locked(w);
-    if (id != kInvalidJob) {
+    if (!rs.model_ready.empty()) {
+      const JobId id = rs.model_ready.front();
+      rs.model_ready.pop_front();
       rs.start_locked(id);
       ++rs.model_running;
       lk.unlock();
       execute(rs, w, id, 0);
       lk.lock();
       --rs.running;
-      if (--rs.model_running == 0 && rs.lane_owner >= 0) {
+      if (--rs.model_running == 0 && rs.lane_claimed) {
         rs.drain_cv.notify_one();
       }
       continue;
@@ -398,7 +328,7 @@ void Executor::run_batch(RunState& rs, int w, std::unique_lock<std::mutex>& lk) 
   // Claim the lane, then wait once for the in-flight ModelTimed jobs. Only
   // the owner pops the exclusive queue, so its front stays the first job
   // while the lock is dropped.
-  rs.lane_owner = w;
+  rs.lane_claimed = true;
   ++rs.lane_batches;
   SchedCounters::instance().lane_batches.add(1);
   const JobId first = rs.exclusive.front();
@@ -425,115 +355,59 @@ void Executor::run_batch(RunState& rs, int w, std::unique_lock<std::mutex>& lk) 
     lane_wait_s = 0;
     lk.lock();
     --rs.running;
-    rs.release_due_locked(w);
+    rs.release_due_locked();
   }
-  rs.lane_owner = -1;
+  rs.lane_claimed = false;
   rs.work_cv.notify_all();
 }
 
 void Executor::execute(RunState& rs, int w, JobId id, double lane_wait_s) {
   const Job& job = rs.graph->job(id);
-  auto token = std::make_shared<std::atomic<bool>>(false);
-  int attempt = 0;
+  JobContext ctx{id, 0};
   {
     std::lock_guard lk(rs.mu);
-    attempt = rs.status[id].attempts++;
+    ctx.attempt = rs.status[id].attempts++;
   }
-  const JobContext ctx{id, attempt, token};
   FailureKind failure = FailureKind::None;
   std::string error;
   double run_s = 0;
-  // A timed-out WallClock attempt, still running: joined after finish() so
-  // the batch owner neither starts the next exclusive job nor releases the
-  // lane while the abandoned body can still touch the machine.
-  std::thread abandoned;
   {
     obs::Span span("job", "sched");
     span.arg("job", job.name);
     span.arg("class", std::string(to_string(job.exec_class)));
-    span.arg("attempt", static_cast<double>(attempt));
+    span.arg("attempt", static_cast<double>(ctx.attempt));
     span.arg("worker", static_cast<double>(w));
     if (span.active()) span.arg("trace_id", job_trace_id(job.name));
     const auto t0 = Clock::now();
-
     if (job.timeout_s > 0) {
-      // Deadline attempts run on a helper so an expired one can be
-      // abandoned. The helper owns copies of everything it touches (the
-      // detach case must not reference worker-stack state).
-      struct Attempt {
-        std::mutex m;
-        std::condition_variable cv;
-        bool done = false;
-        FailureKind failure = FailureKind::None;
-        std::string error;
-      };
-      auto att = std::make_shared<Attempt>();
-      auto work = job.work;
-      std::thread helper([att, work = std::move(work), ctx] {
-        FailureKind f = FailureKind::None;
-        std::string e;
-        try {
-          work(ctx);
-        } catch (const std::exception& ex) {
-          f = FailureKind::Exception;
-          e = ex.what();
-        } catch (...) {
-          f = FailureKind::Exception;
-          e = "unknown exception";
-        }
-        std::lock_guard g(att->m);
-        att->done = true;
-        att->failure = f;
-        att->error = std::move(e);
-        att->cv.notify_all();
-      });
-      std::unique_lock al(att->m);
-      const bool finished =
-          att->cv.wait_for(al, std::chrono::duration<double>(job.timeout_s),
-                           [&] { return att->done; });
-      if (finished) {
-        al.unlock();
-        helper.join();
-        failure = att->failure;
-        error = att->error;
-      } else {
-        al.unlock();
-        token->store(true, std::memory_order_relaxed);
-        if (job.exec_class == ExecClass::WallClock) {
-          abandoned = std::move(helper);
-        } else {
-          helper.detach();
-        }
-        failure = FailureKind::Timeout;
-        error = "deadline of " + std::to_string(job.timeout_s) + "s expired";
-        rs.timeouts.fetch_add(1, std::memory_order_relaxed);
-        SchedCounters::instance().timeouts.add(1);
-      }
-    } else {
-      try {
-        job.work(ctx);
-      } catch (const std::exception& ex) {
-        failure = FailureKind::Exception;
-        error = ex.what();
-      } catch (...) {
-        failure = FailureKind::Exception;
-        error = "unknown exception";
-      }
+      // Capped so the sum cannot overflow the clock; 1e9 s is ~31 years.
+      ctx.deadline = t0 + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(
+                                  std::min(job.timeout_s, 1e9)));
     }
-    run_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    try {
+      job.work(ctx);
+    } catch (const std::exception& ex) {
+      failure = FailureKind::Exception;
+      error = ex.what();
+    } catch (...) {
+      failure = FailureKind::Exception;
+      error = "unknown exception";
+    }
+    const auto t1 = Clock::now();
+    run_s = std::chrono::duration<double>(t1 - t0).count();
+    if (t1 >= ctx.deadline) {
+      failure = FailureKind::Timeout;
+      error = "deadline of " + std::to_string(job.timeout_s) + "s expired";
+    }
     span.arg("outcome", std::string(failure == FailureKind::None
                                         ? "ok"
                                         : to_string(failure)));
   }
-  finish(rs, w, id, failure, error, run_s, lane_wait_s);
-  if (abandoned.joinable()) {
-    obs::Span span("abandoned_wait", "sched");
-    span.arg("job", job.name);
-    abandoned.join();
-  }
+  finish(rs, id, failure, error, run_s, lane_wait_s);
 }
 
-void Executor::finish(RunState& rs, int w, JobId id, FailureKind failure,
+void Executor::finish(RunState& rs, JobId id, FailureKind failure,
                       const std::string& error, double run_s,
                       double lane_wait_s) {
   const Job& finished_job = rs.graph->job(id);
@@ -568,11 +442,15 @@ void Executor::finish(RunState& rs, int w, JobId id, FailureKind failure,
   } else {
     st.failure = failure;
     st.error = error;
+    if (failure == FailureKind::Timeout) {
+      ++rs.timeouts;
+      SchedCounters::instance().timeouts.add(1);
+    }
     const Job& job = rs.graph->job(id);
     if (st.attempts <= job.max_retries) {
       // Retry with linear backoff; the job goes back through the delayed
       // heap so the worker is free for other work meanwhile.
-      rs.retries.fetch_add(1, std::memory_order_relaxed);
+      ++rs.retries;
       SchedCounters::instance().retries.add(1);
       st.state = JobState::Pending;
       rs.delayed.emplace(
@@ -584,16 +462,10 @@ void Executor::finish(RunState& rs, int w, JobId id, FailureKind failure,
       return;
     }
     st.state = JobState::Quarantined;
-    rs.quarantined.fetch_add(1, std::memory_order_relaxed);
+    ++rs.quarantined;
     SchedCounters::instance().quarantined.add(1);
   }
   ++rs.terminal;
-  // Release ModelTimed dependents onto the finishing worker's own deque
-  // (locality; idle workers will steal from its back) and WallClock ones
-  // into the exclusive queue.
-  for (JobId d : rs.dependents[id]) {
-    if (--rs.unmet[d] == 0) rs.enqueue_locked(w, d);
-  }
   rs.work_cv.notify_all();
   if (rs.terminal == rs.graph->size()) rs.done_cv.notify_all();
 }

@@ -1,29 +1,24 @@
-// Sweep runtime, part 2: the work-stealing executor.
+// Sweep runtime, part 2: the executor.
 //
-// A worker pool drains a JobGraph. Each worker owns a deque of ready
-// ModelTimed jobs; jobs released by a finishing dependency are pushed onto
-// the finisher's own deque (the dependent usually touches the data the
-// finisher just produced), and idle workers steal from the *back* of a
-// victim's deque, classic work-stealing style. Retries wait in a
-// time-ordered heap until their backoff expires.
+// A worker pool drains a JobGraph's flat list. Ready ModelTimed jobs wait
+// in one FIFO and each idle worker takes the front, so they start in job
+// order whatever the pool size. Retries wait in a time-ordered heap until
+// their backoff expires.
 //
 // The execution-class invariant (job_graph.hpp) is enforced by running the
-// WallClock jobs in phases. Ready WallClock jobs wait in one FIFO exclusive
-// queue, not in the deques. A worker that finds no ModelTimed job ready
-// claims the lane: from then on no ModelTimed job starts, the owner waits
-// once for the in-flight ones to drain, runs the whole exclusive queue back
-// to back - so a wall-clock-timed measurement never shares the machine with
-// anything, not even a model-timed job burning cores in the simulator - and
-// releases the lane. The lane (a running-ModelTimed count plus one batch
-// owner) is scheduler state guarded by the run's mutex.
+// WallClock jobs in phases. Ready WallClock jobs wait in a second FIFO, the
+// exclusive queue. A worker that finds no ModelTimed job ready claims the
+// lane: from then on no ModelTimed job starts, the owner waits once for the
+// in-flight ones to drain, runs the whole exclusive queue back to back - so
+// a wall-clock-timed measurement never shares the machine with anything,
+// not even a model-timed job burning cores in the simulator - and releases
+// the lane. The lane (a running-ModelTimed count plus a claimed flag) is
+// scheduler state guarded by the run's mutex.
 //
-// Deadlines: an attempt with a timeout runs on a helper thread. If it does
-// not finish in time the attempt is abandoned (cancel token set - bodies
-// poll JobContext::cancelled() to stop promptly) and the job retries or is
-// quarantined. An abandoned ModelTimed helper is detached; an abandoned
-// WallClock helper is joined before the batch owner starts the next
-// exclusive job or releases the lane. Attempts without a timeout run inline
-// on the worker.
+// Every attempt runs inline on the worker that started it, so no attempt
+// outlives run(). A deadline is cooperative: the body gets it in its
+// JobContext, and an attempt that ends (returns or throws) at or after it
+// is recorded as a timeout and retried or quarantined like any failure.
 //
 // Everything observable feeds the obs layer (sched.* counters, a
 // "lane_wait" span around each batch's drain and a "job" span per attempt)
@@ -32,12 +27,9 @@
 // the first job of a batch carries the drain as its lane_wait_seconds.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <vector>
 
 #include "sched/job_graph.hpp"
@@ -51,7 +43,6 @@ struct Progress {
   std::size_t running = 0;
   std::size_t quarantined = 0;
   std::size_t queue_depth = 0;  // ready + backoff-delayed jobs
-  std::uint64_t steals = 0;
   std::uint64_t retries = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t lane_batches = 0;  // lane claims (one per exclusive batch)
@@ -75,9 +66,9 @@ class Executor {
  public:
   explicit Executor(ExecutorOptions opts = {});
 
-  /// Runs the whole graph to quiescence and returns one JobStatus per job
-  /// (indexed by JobId). Throws std::invalid_argument on a cyclic graph.
-  /// Job failures never throw - they end up Quarantined in the statuses.
+  /// Runs every job to a terminal state and returns one JobStatus per job
+  /// (indexed by JobId). Job failures never throw - they end up
+  /// Quarantined in the statuses.
   std::vector<JobStatus> run(const JobGraph& graph);
 
   [[nodiscard]] int num_workers() const { return workers_; }
@@ -92,7 +83,7 @@ class Executor {
   void worker_loop(RunState& rs, int w);
   void run_batch(RunState& rs, int w, std::unique_lock<std::mutex>& lk);
   void execute(RunState& rs, int w, JobId id, double lane_wait_s);
-  void finish(RunState& rs, int w, JobId id, FailureKind failure,
+  void finish(RunState& rs, JobId id, FailureKind failure,
               const std::string& error, double run_s, double lane_wait_s);
 
   ExecutorOptions opts_;

@@ -34,16 +34,7 @@ const char* to_string(FailureKind f) {
 JobId JobGraph::add(Job j) {
   if (!j.work) throw std::invalid_argument("JobGraph::add: job has no work");
   jobs_.push_back(std::move(j));
-  deps_.emplace_back();
   return static_cast<JobId>(jobs_.size() - 1);
-}
-
-void JobGraph::depend(JobId job, JobId on) {
-  if (job >= jobs_.size() || on >= jobs_.size()) {
-    throw std::out_of_range("JobGraph::depend: unknown job id");
-  }
-  if (job == on) throw std::invalid_argument("JobGraph::depend: self-edge");
-  deps_[job].push_back(on);
 }
 
 }  // namespace indigo::sched

@@ -1,10 +1,10 @@
 // Sweep runtime, part 1: the job model.
 //
 // The paper's experiment is ~1034 independent (variant x graph) measurements.
-// A JobGraph holds them as a DAG of named jobs (Harness::sweep builds one
-// job per unjournaled cell; the DAG also allows explicit dependencies), each
-// tagged with an execution class that tells the Executor (executor.hpp) how
-// the job may share the machine:
+// A JobGraph holds them as a flat, ordered list of named jobs
+// (Harness::sweep builds one job per unjournaled cell). No job waits for
+// another one; each is tagged with an execution class that tells the
+// Executor (executor.hpp) how the job may share the machine:
 //
 //   ModelTimed  - the job's metric comes from the vcuda analytic timing
 //                 model, not the wall clock, so any number of them may run
@@ -22,10 +22,9 @@
 // aborting the whole sweep.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,24 +40,26 @@ enum class ExecClass : std::uint8_t {
 
 const char* to_string(ExecClass c);
 
-/// Handed to the job body. A job that can run long should poll cancelled()
-/// and return early: after a deadline expires the Executor abandons the
-/// attempt and only the token tells the (now detached) body to stop.
+/// Handed to the job body. Every attempt runs to its end on the worker
+/// that started it, so a deadline is cooperative: a body that can run long
+/// stops itself once `deadline` has passed (Harness::sweep installs it as a
+/// vcuda::DeadlineScope, which stops a cuda cell at its next kernel launch).
+/// An attempt that ends at or after its deadline counts as timed out,
+/// whether it returned or threw.
 struct JobContext {
   JobId id = kInvalidJob;
   int attempt = 0;  // 0 on the first try, +1 per retry
-  std::shared_ptr<const std::atomic<bool>> cancel;
-
-  [[nodiscard]] bool cancelled() const {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  }
+  /// time_point::max() when the job has no deadline.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 };
 
 struct Job {
   std::string name;
   ExecClass exec_class = ExecClass::ModelTimed;
   std::function<void(const JobContext&)> work;
-  /// Seconds one attempt may run before it is abandoned; 0 = no deadline.
+  /// Seconds one attempt may run before it counts as timed out; 0 = no
+  /// deadline.
   double timeout_s = 0;
   /// Extra attempts after a failed one (throw or deadline).
   int max_retries = 0;
@@ -67,10 +68,10 @@ struct Job {
 };
 
 enum class JobState : std::uint8_t {
-  Pending,      // waiting on dependencies or queued
+  Pending,      // queued, or waiting out a retry backoff
   Running,      // an attempt is executing
   Done,         // completed normally
-  Quarantined,  // failed every attempt; excluded, dependents still ran
+  Quarantined,  // failed every attempt; excluded, the sweep goes on
 };
 
 enum class FailureKind : std::uint8_t { None, Exception, Timeout };
@@ -83,7 +84,7 @@ struct JobStatus {
   FailureKind failure = FailureKind::None;
   std::string error;     // last failure description, empty when none
   int attempts = 0;      // attempts started
-  double run_seconds = 0;  // summed across attempts (abandoned ones too)
+  double run_seconds = 0;  // summed across attempts, each until it ended
   /// Time spent waiting for the execution-class lane (summed across
   /// attempts); never part of run_seconds. The first job of an exclusive
   /// batch carries the batch's drain wait; every other job reads 0.
@@ -93,27 +94,20 @@ struct JobStatus {
   std::string flight_dump;
 };
 
-/// A DAG of jobs. add() returns the id used for depend(); the graph is
-/// consumed by Executor::run, which validates acyclicity.
+/// The jobs of one run, in order. add() returns the job's id, its index
+/// into the statuses Executor::run returns. Executor::run queues the jobs
+/// in id order, so ModelTimed jobs start in that order, and so do the
+/// WallClock jobs of an exclusive batch.
 class JobGraph {
  public:
   JobId add(Job j);
 
-  /// Declares that `job` may only start after `on` reached a terminal
-  /// state (Done or Quarantined - dependents of a quarantined job still
-  /// run, so one crashing job cannot starve the jobs after it).
-  void depend(JobId job, JobId on);
-
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
   [[nodiscard]] const Job& job(JobId id) const { return jobs_[id]; }
   [[nodiscard]] Job& job(JobId id) { return jobs_[id]; }
-  [[nodiscard]] const std::vector<JobId>& deps(JobId id) const {
-    return deps_[id];
-  }
 
  private:
   std::vector<Job> jobs_;
-  std::vector<std::vector<JobId>> deps_;  // deps_[j] = jobs j waits on
 };
 
 }  // namespace indigo::sched

@@ -16,7 +16,25 @@ namespace {
 
 std::atomic<std::uint64_t> g_peak_footprint{0};
 
+using Clock = std::chrono::steady_clock;
+
+/// The calling thread's deadline; time_point::max() = none.
+thread_local Clock::time_point t_deadline = Clock::time_point::max();
+
 }  // namespace
+
+DeadlineScope::DeadlineScope(Clock::time_point deadline)
+    : previous_(t_deadline) {
+  t_deadline = deadline;
+}
+
+DeadlineScope::~DeadlineScope() { t_deadline = previous_; }
+
+void throw_if_past_deadline() {
+  if (t_deadline != Clock::time_point::max() && Clock::now() >= t_deadline) {
+    throw DeadlineError("vcuda: the attempt's deadline has passed");
+  }
+}
 
 void note_modeled_footprint(std::uint64_t bytes) {
   std::uint64_t cur = g_peak_footprint.load(std::memory_order_relaxed);
@@ -320,6 +338,7 @@ Device::~Device() {
 }
 
 void Device::begin_launch(std::uint32_t grid_dim, std::uint32_t block_dim) {
+  throw_if_past_deadline();
   // CUDA launch-configuration limits; formerly an assert, which Release
   // builds (NDEBUG) compiled out, leaving zero-lane warps and nonsense
   // occupancy silently possible.

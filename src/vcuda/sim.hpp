@@ -25,6 +25,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -1236,6 +1237,35 @@ class Block {
   double block_serial_cycles_ = 0;
   std::vector<std::vector<std::byte>> shared_;
 };
+
+/// Thrown by throw_if_past_deadline, which Device::launch calls before it
+/// starts a kernel, once the calling thread's deadline (DeadlineScope) has
+/// passed. The harness does not journal it as a failed measurement, so a
+/// resumed sweep retries the cell.
+class DeadlineError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Installs `deadline` for the calling thread while the scope lives (the
+/// previous one is restored on exit). Harness::sweep wraps each attempt's
+/// measurement in one, so a cuda cell stops at its next kernel launch once
+/// the attempt's deadline has passed.
+class DeadlineScope {
+ public:
+  explicit DeadlineScope(std::chrono::steady_clock::time_point deadline);
+  ~DeadlineScope();
+
+  DeadlineScope(const DeadlineScope&) = delete;
+  DeadlineScope& operator=(const DeadlineScope&) = delete;
+
+ private:
+  std::chrono::steady_clock::time_point previous_;
+};
+
+/// Throws DeadlineError when the calling thread's deadline has passed; a
+/// no-op outside a DeadlineScope.
+void throw_if_past_deadline();
 
 /// One simulated GPU. Accumulates simulated elapsed time across launches;
 /// one Device instance corresponds to one timed program execution.

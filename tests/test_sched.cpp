@@ -1,8 +1,9 @@
-// Tests of the sweep runtime (src/sched): dependency ordering, the
-// execution-class lane, deadline/retry/quarantine robustness, worker-count
-// resolution, and the harness integration - a sweep on a pool must be
-// indistinguishable from the same sweep on one worker (bit-identical
-// results, zero re-executions on resume, quarantine notes kept).
+// Tests of the sweep runtime (src/sched): start order, the execution-class
+// lane, deadline/retry/quarantine robustness, worker-count resolution, and
+// the harness integration - a sweep on a pool must be indistinguishable
+// from the same sweep on one worker (bit-identical results, zero
+// re-executions on resume, quarantine notes kept), and a deadline stops
+// real cuda variants without leaving anything running after the sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,8 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -39,48 +40,39 @@ Executor make_executor(int workers = kPool) {
   return Executor(eo);
 }
 
-TEST(JobGraph, RejectsEmptyWorkAndSelfDependency) {
+TEST(JobGraph, RejectsEmptyWork) {
   JobGraph jg;
   EXPECT_THROW(jg.add({}), std::invalid_argument);
-  const JobId a = jg.add({"a", ExecClass::ModelTimed, [](auto&) {}});
-  EXPECT_THROW(jg.depend(a, a), std::invalid_argument);
-  EXPECT_THROW(jg.depend(a, 99), std::out_of_range);
 }
 
-TEST(Executor, RunsDependenciesBeforeDependents) {
+TEST(Executor, ModelTimedJobsStartInJobOrder) {
+  // While one worker sits in the long job 0, the other takes the short
+  // jobs from the front of the one FIFO, so starts follow job order. Job 0
+  // is popped first; the others record their start only once it recorded
+  // its own, so the order is not decided by which worker wakes first.
   JobGraph jg;
   std::mutex mu;
-  std::vector<std::string> order;
-  auto record = [&](const char* name) {
-    return [&, name](const JobContext&) {
-      std::lock_guard lk(mu);
-      order.emplace_back(name);
-    };
-  };
-  // Diamond: a -> {b, c} -> d.
-  const JobId a = jg.add({"a", ExecClass::ModelTimed, record("a")});
-  const JobId b = jg.add({"b", ExecClass::ModelTimed, record("b")});
-  const JobId c = jg.add({"c", ExecClass::ModelTimed, record("c")});
-  const JobId d = jg.add({"d", ExecClass::ModelTimed, record("d")});
-  jg.depend(b, a);
-  jg.depend(c, a);
-  jg.depend(d, b);
-  jg.depend(d, c);
-
-  const auto st = make_executor().run(jg);
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order.front(), "a");
-  EXPECT_EQ(order.back(), "d");
+  std::vector<JobId> started;
+  std::atomic<bool> first_started{false};
+  for (int i = 0; i < 12; ++i) {
+    jg.add({"j" + std::to_string(i), ExecClass::ModelTimed,
+            [&](const JobContext& ctx) {
+              while (ctx.id != 0 && !first_started.load()) {
+                std::this_thread::sleep_for(1ms);
+              }
+              {
+                std::lock_guard lk(mu);
+                started.push_back(ctx.id);
+              }
+              first_started.store(true);
+              std::this_thread::sleep_for(ctx.id == 0 ? 100ms : 1ms);
+            }});
+  }
+  const auto st = make_executor(2).run(jg);
   for (const JobStatus& s : st) EXPECT_EQ(s.state, JobState::Done);
-}
-
-TEST(Executor, ThrowsOnDependencyCycle) {
-  JobGraph jg;
-  const JobId a = jg.add({"a", ExecClass::ModelTimed, [](auto&) {}});
-  const JobId b = jg.add({"b", ExecClass::ModelTimed, [](auto&) {}});
-  jg.depend(a, b);
-  jg.depend(b, a);
-  EXPECT_THROW(make_executor().run(jg), std::invalid_argument);
+  std::vector<JobId> expected(12);
+  for (JobId i = 0; i < 12; ++i) expected[i] = i;
+  EXPECT_EQ(started, expected);
 }
 
 TEST(Executor, ModelTimedJobsOverlap) {
@@ -137,28 +129,18 @@ TEST(Executor, WallClockJobsNeverShareTheMachine) {
 }
 
 TEST(Executor, LaneWaitIsNotCountedAsRunTime) {
-  // A WallClock job that reaches the lane while a ~200 ms ModelTimed job
-  // holds it must wait, and that wait is lane_wait_seconds, not run time.
-  // The gate job releases the WallClock job only once the ModelTimed body
-  // is running, i.e. holds the shared lane.
+  // One worker takes the ~200 ms ModelTimed job; the other finds no
+  // ModelTimed job left, claims the lane and must wait for that job to
+  // drain. The wait is lane_wait_seconds, not run time.
   JobGraph jg;
-  std::atomic<bool> model_running{false};
   const JobId m = jg.add({"model", ExecClass::ModelTimed,
-                          [&](const JobContext&) {
-                            model_running.store(true);
+                          [](const JobContext&) {
                             std::this_thread::sleep_for(200ms);
                           }});
-  const JobId gate = jg.add({"gate", ExecClass::ModelTimed,
-                             [&](const JobContext&) {
-                               while (!model_running.load()) {
-                                 std::this_thread::sleep_for(1ms);
-                               }
-                             }});
   const JobId wall = jg.add({"wall", ExecClass::WallClock,
                              [](const JobContext&) {
                                std::this_thread::sleep_for(20ms);
                              }});
-  jg.depend(wall, gate);
 
   const auto st = make_executor(2).run(jg);
   for (const JobStatus& s : st) EXPECT_EQ(s.state, JobState::Done);
@@ -169,9 +151,9 @@ TEST(Executor, LaneWaitIsNotCountedAsRunTime) {
 }
 
 TEST(Executor, WallClockJobsRunAsOneContiguousBatch) {
-  // With no dependencies every WallClock job is ready from the start, so
-  // the lane is claimed once, after the last ModelTimed job started, and
-  // the WallClock bodies run back to back with nothing in between.
+  // Every WallClock job is ready from the start, so the lane is claimed
+  // once, after the last ModelTimed job started, and the WallClock bodies
+  // run back to back with nothing in between.
   JobGraph jg;
   std::mutex mu;
   std::string events;  // body starts/ends: 'M'/'m' ModelTimed, 'W'/'w' WallClock
@@ -211,8 +193,9 @@ TEST(Executor, WallClockJobsRunAsOneContiguousBatch) {
 }
 
 TEST(Executor, ReleasedAndRetriedWallClockJobsStillRunExclusively) {
-  // A WallClock job released mid-run by a ModelTimed dependency, and one
-  // that throws once before it succeeds, both still run alone.
+  // A WallClock job that throws once, whose retry is released from the
+  // backoff heap mid-run, runs alone on both attempts, and so do the
+  // WallClock jobs around it.
   JobGraph jg;
   std::atomic<int> active_wall{0};
   std::atomic<int> active_model{0};
@@ -233,10 +216,9 @@ TEST(Executor, ReleasedAndRetriedWallClockJobsStillRunExclusively) {
     std::this_thread::sleep_for(4ms);
     active_model.fetch_sub(1);
   };
-  const JobId gate = jg.add({"gate", ExecClass::ModelTimed, model_body});
+  jg.add({"first", ExecClass::ModelTimed, model_body});
   const JobId released =
       jg.add({"released", ExecClass::WallClock, wall_body});
-  jg.depend(released, gate);
   std::atomic<int> flaky_calls{0};
   Job flaky{"flaky", ExecClass::WallClock,
             [&](const JobContext& ctx) {
@@ -261,10 +243,10 @@ TEST(Executor, ReleasedAndRetriedWallClockJobsStillRunExclusively) {
 }
 
 TEST(Executor, TimedOutWallClockAttemptKeepsTheLaneUntilItsBodyExits) {
-  // A finite WallClock body that ignores its cancel token overruns its
-  // deadline. The attempt is abandoned, but neither the next WallClock job
-  // nor the ModelTimed job released by the quarantine may start until the
-  // abandoned body has returned.
+  // A finite WallClock body that ignores its deadline overruns it. The
+  // attempt counts as timed out, but neither the next WallClock job nor a
+  // ModelTimed retry released from the backoff heap meanwhile may start
+  // until the overrunning body has returned.
   JobGraph jg;
   std::atomic<int> active{0};
   std::atomic<int> violations{0};
@@ -283,32 +265,39 @@ TEST(Executor, TimedOutWallClockAttemptKeepsTheLaneUntilItsBodyExits) {
     active.fetch_sub(1);
   };
   const JobId next = jg.add({"next", ExecClass::WallClock, check_alone});
-  const JobId after = jg.add({"after", ExecClass::ModelTimed, check_alone});
-  jg.depend(after, o);
+  // Fails once before the batch; its retry is due while the overrun runs.
+  Job after{"after", ExecClass::ModelTimed, [&](const JobContext& ctx) {
+              check_alone(ctx);
+              if (ctx.attempt == 0) throw std::runtime_error("transient");
+            }};
+  after.max_retries = 1;
+  after.retry_backoff_s = 0.1;
+  const JobId a = jg.add(std::move(after));
 
   const auto st = make_executor().run(jg);
   EXPECT_EQ(st[o].state, JobState::Quarantined);
   EXPECT_EQ(st[o].failure, FailureKind::Timeout);
-  EXPECT_LT(st[o].run_seconds, 0.25);  // charged up to the deadline only
+  EXPECT_GE(st[o].run_seconds, 0.3);  // charged until the body returned
   EXPECT_EQ(st[next].state, JobState::Done);
-  EXPECT_EQ(st[after].state, JobState::Done);
-  EXPECT_TRUE(overrun_exited.load());  // joined before run() returned
+  EXPECT_EQ(st[a].state, JobState::Done);
+  EXPECT_EQ(st[a].attempts, 2);
+  EXPECT_TRUE(overrun_exited.load());  // ended before run() returned
   EXPECT_EQ(violations.load(), 0);
 }
 
 TEST(Executor, HangingJobTimesOutAndIsQuarantined) {
   JobGraph jg;
-  auto saw_cancel = std::make_shared<std::atomic<bool>>(false);
+  std::atomic<bool> saw_deadline{false};
   Job hang;
   hang.name = "hang";
   hang.exec_class = ExecClass::ModelTimed;
   hang.timeout_s = 0.15;
-  hang.work = [saw_cancel](const JobContext& ctx) {
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (ctx.cancelled()) {
-        saw_cancel->store(true);
-        return;  // a well-behaved long job stops promptly when abandoned
+  hang.work = [&](const JobContext& ctx) {
+    const auto give_up = std::chrono::steady_clock::now() + 10s;
+    while (std::chrono::steady_clock::now() < give_up) {
+      if (std::chrono::steady_clock::now() >= ctx.deadline) {
+        saw_deadline.store(true);
+        return;  // a well-behaved long job stops once its deadline passed
       }
       std::this_thread::sleep_for(2ms);
     }
@@ -323,12 +312,8 @@ TEST(Executor, HangingJobTimesOutAndIsQuarantined) {
   EXPECT_EQ(st[h].failure, FailureKind::Timeout);
   EXPECT_EQ(st[h].attempts, 1);
   EXPECT_TRUE(other_ran.load());  // a hung job does not abort the sweep
-  // The abandoned attempt observes its cancel token and stops.
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (!saw_cancel->load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(5ms);
-  }
-  EXPECT_TRUE(saw_cancel->load());
+  EXPECT_TRUE(saw_deadline.load());
+  EXPECT_LT(st[h].run_seconds, 5.0);  // stopped at the deadline, not 10 s
 }
 
 TEST(Executor, FlakyJobRetriesUntilItSucceeds) {
@@ -350,6 +335,7 @@ TEST(Executor, FlakyJobRetriesUntilItSucceeds) {
 }
 
 TEST(Executor, ExhaustedRetriesQuarantineButDependentsStillRun) {
+  // A quarantined job does not stop the jobs after it.
   JobGraph jg;
   Job broken;
   broken.name = "broken";
@@ -359,12 +345,9 @@ TEST(Executor, ExhaustedRetriesQuarantineButDependentsStillRun) {
     throw std::runtime_error("deterministic failure");
   };
   const JobId b = jg.add(std::move(broken));
-  std::atomic<bool> dependent_ran{false};
-  const JobId d = jg.add({"dependent", ExecClass::ModelTimed,
-                          [&](const JobContext&) {
-                            dependent_ran.store(true);
-                          }});
-  jg.depend(d, b);
+  std::atomic<bool> later_ran{false};
+  const JobId d = jg.add({"later", ExecClass::ModelTimed,
+                          [&](const JobContext&) { later_ran.store(true); }});
 
   const auto st = make_executor().run(jg);
   EXPECT_EQ(st[b].state, JobState::Quarantined);
@@ -372,7 +355,7 @@ TEST(Executor, ExhaustedRetriesQuarantineButDependentsStillRun) {
   EXPECT_EQ(st[b].attempts, 2);
   EXPECT_NE(st[b].error.find("deterministic failure"), std::string::npos);
   EXPECT_EQ(st[d].state, JobState::Done);
-  EXPECT_TRUE(dependent_ran.load());
+  EXPECT_TRUE(later_ran.load());
 }
 
 TEST(Executor, ReportsProgressWithEta) {
@@ -435,6 +418,7 @@ class SchedSweepTest : public testing::Test {
     unsetenv("REPRO_CACHE");
     unsetenv("REPRO_SCALE");
     unsetenv("INDIGO_SCHED_RETRIES");
+    unsetenv("INDIGO_SCHED_TIMEOUT_S");
   }
 
   static std::string slurp(const std::string& p) {
@@ -459,7 +443,7 @@ TEST_F(SchedSweepTest, ScheduledSweepMatchesSequentialBitForBit) {
 
   setenv("REPRO_CACHE", (base_ + "_par.csv").c_str(), 1);
   bench::Harness par;
-  sw.workers = kPool;  // through the work-stealing pool
+  sw.workers = kPool;  // through the pool
   const auto ms_par = par.sweep(sw);
   ASSERT_TRUE(par.result_store().checkpoint());
 
@@ -548,6 +532,84 @@ TEST_F(SchedSweepTest, QuarantineNotesSurviveTheSweepCheckpoint) {
               std::string::npos)
         << g.name() << " missing from:\n" << journal;
   }
+}
+
+TEST_F(SchedSweepTest, MalformedRetryAndDeadlineValuesAreRejected) {
+  setenv("REPRO_CACHE", (base_ + "_seq.csv").c_str(), 1);
+  bench::Harness h;
+  bench::SweepOptions sw;  // selects nothing: only the env is read
+  sw.style_filter = [](const Variant&) { return false; };
+  auto rejects = [&](const char* var, const char* value) {
+    setenv(var, value, 1);
+    try {
+      h.sweep(sw);
+      ADD_FAILURE() << "accepted " << var << "=\"" << value << '"';
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find(var), std::string::npos)
+          << ex.what();
+    }
+    unsetenv(var);
+  };
+  for (const char* bad : {"abc", "-1", "1.5", "2x", "", " 1", "+1",
+                          "99999999999"}) {
+    rejects("INDIGO_SCHED_RETRIES", bad);
+  }
+  for (const char* bad : {"abc", "5s", "-1", "-0.5", "nan", "inf", "1e999",
+                          "", " 1", "+1"}) {
+    rejects("INDIGO_SCHED_TIMEOUT_S", bad);
+  }
+  for (const char* good : {"0", "3"}) {
+    setenv("INDIGO_SCHED_RETRIES", good, 1);
+    EXPECT_NO_THROW(h.sweep(sw)) << good;
+  }
+  for (const char* good : {"0", "2.5", "1e-6", "30"}) {
+    setenv("INDIGO_SCHED_TIMEOUT_S", good, 1);
+    EXPECT_NO_THROW(h.sweep(sw)) << good;
+  }
+}
+
+TEST_F(SchedSweepTest, DeadlineStopsRealCudaVariantsAtTheirNextLaunch) {
+  // Every cuda BFS cell overruns a 1 us deadline: it stops at its first
+  // kernel launch, is quarantined, and nothing of it runs on after sweep()
+  // returned - no journal row appears later and no freed state is touched.
+  const std::string journal = base_ + "_seq.csv";
+  setenv("REPRO_CACHE", journal.c_str(), 1);
+  setenv("INDIGO_SCHED_TIMEOUT_S", "1e-6", 1);
+  setenv("INDIGO_SCHED_RETRIES", "0", 1);
+  bench::Harness h;
+  bench::SweepOptions sw;
+  sw.model = Model::Cuda;
+  sw.algo = Algorithm::BFS;
+  sw.workers = kPool;
+  testing::internal::CaptureStderr();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto ms = h.sweep(sw);
+  const double sweep_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  testing::internal::GetCapturedStderr();
+
+  ASSERT_GT(ms.size(), 0u);
+  EXPECT_LT(sweep_s, 5.0);
+  EXPECT_EQ(h.last_sweep_stats().quarantined, ms.size());
+  for (const Measurement& m : ms) {
+    EXPECT_FALSE(m.verified);
+    EXPECT_EQ(m.error.rfind("quarantined: ", 0), 0u) << m.error;
+    EXPECT_NE(m.error.find("deadline"), std::string::npos) << m.error;
+  }
+  // The journal holds the header and quarantine comments, no result row.
+  auto result_rows = [&] {
+    std::size_t rows = 0;
+    std::istringstream in(slurp(journal));
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty() && line.front() != '#') ++rows;
+    }
+    return rows;
+  };
+  EXPECT_EQ(result_rows(), 0u);
+  std::this_thread::sleep_for(500ms);
+  EXPECT_EQ(result_rows(), 0u);
+  EXPECT_EQ(h.result_store().appended(), 0u);
 }
 
 }  // namespace
