@@ -3,7 +3,9 @@
 // One line per (program | graph | device): the raw bits of the modeled
 // seconds, the iteration count, the converged flag and an FNV-1a hash of
 // the output. A refactor of the interpreter or of a kernel cannot move any
-// modeled number of the study without this test noticing.
+// modeled number of the study without this test noticing. A sixth,
+// hand-built boundary input pins both sides of the one-round dispatch of
+// the Warp/Block-granularity vertex kernels (see boundary_input below).
 //
 // The digest detects changes; it is not an independent oracle. When a
 // change is meant to move modeled numbers, review the diff of the actual
@@ -27,6 +29,7 @@
 
 #include "core/registry.hpp"
 #include "core/runner.hpp"
+#include "graph/csr.hpp"
 #include "graph/generate.hpp"
 #include "variants/register_all.hpp"
 #include "vcuda/device_spec.hpp"
@@ -76,6 +79,56 @@ std::string digest_line(const Variant& v, const Graph& g,
   }
 }
 
+/// Degree-boundary input for the one-round dispatch of non-persistent
+/// Warp/Block-granularity vertex kernels: hubs of degree 31/32/33 (around
+/// the warp stride) and 255/256/257 (around the block stride), each in its
+/// own warp-granularity block, plus one self-loop (which sends in-place
+/// styles down the multi-round path). A ring over the other vertices keeps
+/// the graph connected; the level-0 inputs have no vertex above degree 121.
+Graph boundary_input() {
+  constexpr vid_t kN = 512;
+  constexpr vid_t kHubs[] = {8, 16, 24, 32, 40, 48};
+  constexpr vid_t kHubDegree[] = {31, 32, 33, 255, 256, 257};
+  constexpr vid_t kSelfLoop = 100;
+  auto is_hub = [&](vid_t v) {
+    return std::find(std::begin(kHubs), std::end(kHubs), v) != std::end(kHubs);
+  };
+  std::vector<vid_t> leaves;
+  for (vid_t v = 0; v < kN; ++v) {
+    if (!is_hub(v)) leaves.push_back(v);
+  }
+  auto weight = [](vid_t u, vid_t v) {
+    return static_cast<weight_t>(1 + (u * 7 + v * 13) % 50);
+  };
+  GraphBuilder b(kN, "boundary-2e9");
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const vid_t u = leaves[i], v = leaves[(i + 1) % leaves.size()];
+    b.add_undirected(u, v, weight(std::min(u, v), std::max(u, v)));
+  }
+  for (std::size_t h = 0; h < std::size(kHubs); ++h) {
+    // Distinct leaves, spread over the id range.
+    for (vid_t k = 0; k < kHubDegree[h]; ++k) {
+      const vid_t v = leaves[(h * 37 + k * 3) % leaves.size()];
+      b.add_undirected(kHubs[h], v, weight(kHubs[h], v));
+    }
+  }
+  b.add_arc(kSelfLoop, kSelfLoop, 3);
+  return b.finish({.remove_self_loops = false, .remove_duplicates = true});
+}
+
+/// The programs whose Warp/Block kernels dispatch on boundary_input's
+/// degrees: non-persistent vertex-flow relaxations and PR push.
+bool boundary_program(const Variant& v) {
+  const StyleConfig& c = v.style;
+  if (c.flow != Flow::Vertex || c.pers != Persistence::NonPersistent ||
+      c.gran == Granularity::Thread) {
+    return false;
+  }
+  return v.algo == Algorithm::BFS || v.algo == Algorithm::CC ||
+         v.algo == Algorithm::SSSP ||
+         (v.algo == Algorithm::PR && c.dir == Direction::Push);
+}
+
 /// The digest of the current build, sorted.
 std::vector<std::string> actual_digest() {
   variants::register_all_variants();
@@ -84,6 +137,7 @@ std::vector<std::string> actual_digest() {
       make_input(InputClass::Grid2d, 8), make_input(InputClass::CoPaper, 7),
       make_input(InputClass::Rmat, 8), make_input(InputClass::Social, 8),
       make_input(InputClass::RoadNet, 8)};
+  const Graph boundary = boundary_input();
   const std::vector<vcuda::DeviceSpec> devices = {vcuda::rtx3090_like(),
                                                   vcuda::titanv_like()};
   const auto cuda = Registry::instance().select(Model::Cuda, std::nullopt);
@@ -94,9 +148,13 @@ std::vector<std::string> actual_digest() {
     const vcuda::DeviceSpec* d;
   };
   std::vector<Cell> cells;
-  for (const Variant* v : cuda)
+  for (const Variant* v : cuda) {
     for (const Graph& g : graphs)
       for (const vcuda::DeviceSpec& d : devices) cells.push_back({v, &g, &d});
+    if (boundary_program(*v))
+      for (const vcuda::DeviceSpec& d : devices)
+        cells.push_back({v, &boundary, &d});
+  }
 
   std::vector<std::string> lines(cells.size());
   std::atomic<std::size_t> next{0};
