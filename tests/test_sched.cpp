@@ -77,21 +77,24 @@ TEST(Executor, ModelTimedJobsStartInJobOrder) {
 
 TEST(Executor, ModelTimedJobsOverlap) {
   // Each job waits to see a sibling in flight; only concurrent execution
-  // lets them all finish before the deadline.
+  // lets them all finish before the deadline. A job whose siblings have
+  // all finished has nobody left to overlap with and stops waiting.
   JobGraph jg;
   std::atomic<int> inflight{0};
+  std::atomic<int> finished{0};
   std::atomic<int> overlapped{0};
   for (int i = 0; i < kPool; ++i) {
     jg.add({"m" + std::to_string(i), ExecClass::ModelTimed,
             [&](const JobContext&) {
               inflight.fetch_add(1);
               const auto deadline = std::chrono::steady_clock::now() + 5s;
-              while (inflight.load() < 2 &&
+              while (inflight.load() < 2 && finished.load() < kPool - 1 &&
                      std::chrono::steady_clock::now() < deadline) {
                 std::this_thread::sleep_for(1ms);
               }
               if (inflight.load() >= 2) overlapped.fetch_add(1);
               inflight.fetch_sub(1);
+              finished.fetch_add(1);
             }});
   }
   const auto st = make_executor().run(jg);
