@@ -5,7 +5,7 @@
 // scheduling 3470 model-timed jobs across workers bought 0.985x on one core —
 // the hot path IS the study's scaling axis). This binary times that hot path
 // in isolation: eight kernels spanning the paper's style axes (push/pull x
-// vertex/edge BFS + PR, a MIS-style scan, a sequenced edge relaxation and a
+// vertex/edge BFS + PR, a MIS-style scan, a colliding edge relaxation and a
 // worklist-tail hotspot) over an R-MAT input. The kernels are written in the
 // lane-loop form the variant kernels use (Block::for_each_warp: a warp's
 // lanes advance together through SoA state, divergence is a 64-bit mask
@@ -225,7 +225,8 @@ int main(int argc, char** argv) {
             row.ld_warp_c(w, active, base + 1, hi.v);
             w.for_lanes(active, [&](int l) { nd[l] = dv[l] + 1; });
             w.edge_walk(active, cur, hi, eid_t{1}, [&](Mask live) {
-              w.relax_min(live, col, cur.v, d, nd.v, u.v);
+              col.ld_warp(w, live, cur.v, u.v);
+              d.fetch_min_warp(w, live, u.v, nd.v);
               return live;
             });
           });
@@ -290,7 +291,7 @@ int main(int argc, char** argv) {
             const Mask hit =
                 w.where(active, [&](int l) { return ds[l] != 0xffffffffu; });
             w.for_lanes(hit, [&](int l) { nd[l] = ds[l] + 1; });
-            d.atomic_min_warp(w, hit, u.v, nd.v);
+            d.fetch_min_warp(w, hit, u.v, nd.v);
           });
         });
       });
@@ -349,7 +350,7 @@ int main(int argc, char** argv) {
             src.ld_warp_c(w, active, base, s.v);
             dst.ld_warp_c(w, active, base, u.v);
             c.ld_warp(w, active, s.v, cs.v);
-            r.atomic_add_warp(w, active, u.v, cs.v);
+            r.fetch_add_warp(w, active, u.v, cs.v);
           });
         });
       });
@@ -406,10 +407,10 @@ int main(int argc, char** argv) {
                    });
       });
 
-  // --- Edge relaxation through the *sequenced* accessors: the exact shape
-  // the migrated Det+RMW edge kernel runs — COO loads, a guard-mask
-  // refinement, a fetch_min whose same-batch collisions replay per-lane
-  // order, and a conditional-suffix flag store. `dist` is read-only here
+  // --- Edge relaxation in the exact shape the lane-loop Det+RMW edge
+  // kernel runs: COO loads, a guard-mask refinement, a fetch_min whose
+  // same-batch collisions replay per-lane order, and a conditional-suffix
+  // flag store. `dist` is read-only here
   // (writes land in dist2), so every sweep issues identical accesses.
   std::vector<std::uint32_t> dist2(n, 0xffffffffu);
   std::vector<std::uint32_t> seq_flag(1, 0);
@@ -441,14 +442,14 @@ int main(int argc, char** argv) {
             const Mask hit =
                 w.where(active, [&](int l) { return ds[l] != 0xffffffffu; });
             w.for_lanes(hit, [&](int l) { nd[l] = ds[l] + 1; });
-            d2.atomic_min_warp_seq(w, hit, u.v, nd.v, old.v);
+            d2.fetch_min_warp(w, hit, u.v, nd.v, old.v);
             const Mask flagged =
                 w.where(hit, [&](int l) { return (ds[l] & 7u) == 0u; });
             w.for_lanes(flagged, [&](int l) {
               zero[l] = 0;
               one[l] = 1u;
             });
-            fl.st_warp_seq(w, flagged, zero.v, one.v);
+            fl.st_warp(w, flagged, zero.v, one.v);
           });
         });
       });
@@ -471,7 +472,7 @@ int main(int argc, char** argv) {
               zero[l] = 0;
               one[l] = 1;
             });
-            tail.atomic_add_warp(w, active, zero.v, one.v);
+            tail.fetch_add_warp(w, active, zero.v, one.v);
           });
         });
       });

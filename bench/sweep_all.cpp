@@ -131,12 +131,16 @@ int main(int argc, char** argv) {
       "zero re-executed jobs.");
 
   const auto t0 = std::chrono::steady_clock::now();
-  bench::Harness h;
-  const std::size_t journal_at_start = h.result_store().size();
+  std::optional<bench::Harness> harness;
+  std::size_t journal_at_start = 0;
   std::vector<Measurement> ms;
+  // The Harness parses REPRO_SCALE and the sweep INDIGO_SCHED_*; a
+  // malformed value exits 2.
   try {
-    ms = h.sweep(sw);
-  } catch (const std::invalid_argument& ex) {  // a malformed INDIGO_SCHED_*
+    harness.emplace();
+    journal_at_start = harness->result_store().size();
+    ms = harness->sweep(sw);
+  } catch (const std::invalid_argument& ex) {
     obs::telemetry_stop();
     std::cerr << "[error] " << ex.what() << '\n';
     return 2;
@@ -144,14 +148,14 @@ int main(int argc, char** argv) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  const bench::SweepStats& st = h.last_sweep_stats();
+  const bench::SweepStats& st = harness->last_sweep_stats();
   print_model_tallies(ms);
 
   // Resume accounting straight from the journal: an executed job whose key
   // was already journaled would overwrite instead of grow the map, so
   //   re-executed = appends - (final size - initial size).
-  const std::size_t appended = h.result_store().appended();
-  const std::size_t grew = h.result_store().size() - journal_at_start;
+  const std::size_t appended = harness->result_store().appended();
+  const std::size_t grew = harness->result_store().size() - journal_at_start;
   const std::size_t re_executed = appended - grew;
 
   std::cout << "[sweep] journal hits: " << st.cache_hits << '/' << st.pairs
@@ -161,8 +165,8 @@ int main(int argc, char** argv) {
             << ", re-executed: " << re_executed << '\n'
             << "[sweep] lane batches: " << st.lane_batches << '\n'
             << "[sweep] wall: " << wall_s << "s on " << sw.workers
-            << " workers; journal: " << h.result_store().path() << " ("
-            << h.result_store().size() << " entries)\n";
+            << " workers; journal: " << harness->result_store().path()
+            << " (" << harness->result_store().size() << " entries)\n";
   const bool had_telemetry = obs::telemetry_running();
   obs::telemetry_stop();  // one final snapshot with the end-state counters
   if (had_telemetry || obs::flight_enabled()) {

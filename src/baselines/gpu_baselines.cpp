@@ -53,7 +53,7 @@ RunResult gpu_bfs(const Graph& g, const RunOptions& opts) {
         for (std::uint32_t e = beg; e < end; ++e) {
           const vid_t u = col.ld(t, e);
           if (dist.atomic_cas(t, u, kInfDist, level) == kInfDist) {
-            const std::uint32_t idx = wl_size.atomic_add(t, 0, 1u);
+            const std::uint32_t idx = wl_size.fetch_add(t, 0, 1u);
             wl_out.st(t, idx, u);
           }
         }
@@ -101,7 +101,7 @@ RunResult gpu_sssp(const Graph& g, const RunOptions& opts) {
         for (std::uint32_t e = beg; e < end; ++e) {
           const vid_t u = col.ld(t, e);
           const std::uint32_t nd = dv + wts.ld(t, e);
-          if (nd < dist.atomic_min(t, u, nd)) {
+          if (nd < dist.fetch_min(t, u, nd)) {
             act_out.st(t, u, 1);
             changed.st(t, 0, 1);
           }
@@ -214,7 +214,7 @@ RunResult gpu_pr(const Graph& g, const RunOptions& opts) {
       blk.sync();
       const double total = blk.reduce_add(slots);
       blk.for_each_thread([&](vcuda::Thread& t) {
-        if (t.thread_idx() == 0 && total != 0.0) res.atomic_add(t, 0, total);
+        if (t.thread_idx() == 0 && total != 0.0) res.fetch_add(t, 0, total);
       });
     });
     std::swap(cur, nxt);
@@ -298,7 +298,7 @@ RunResult gpu_tc(const Graph& g, const RunOptions& opts) {
     const double total = blk.reduce_add(slots);
     blk.for_each_thread([&](vcuda::Thread& t) {
       if (t.thread_idx() == 0 && total != 0.0) {
-        count.atomic_add(t, 0, static_cast<std::uint64_t>(total));
+        count.fetch_add(t, 0, static_cast<std::uint64_t>(total));
       }
     });
   });

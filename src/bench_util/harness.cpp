@@ -29,16 +29,11 @@ namespace {
 
 std::atomic<int> g_shape_failures{0};
 
-std::string scale_tag() {
-  const char* env = std::getenv("REPRO_SCALE");
-  return env != nullptr ? env : "1";
-}
-
 std::string make_key(const std::string& program, const std::string& graph,
                      const std::string& device, int threads, int reps) {
   std::ostringstream os;
   os << program << '|' << graph << '|' << device << '|' << threads << '|'
-     << scale_tag();
+     << repro_scale_level();
   // Instrumented runs carry counter payloads and must not shadow (or be
   // shadowed by) plain timing entries recorded without them.
   if (obs::enabled()) os << "|obs";

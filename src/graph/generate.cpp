@@ -235,11 +235,17 @@ Graph make_input(InputClass c, unsigned scale, std::uint64_t seed_salt) {
   throw std::invalid_argument("unknown InputClass");
 }
 
+int repro_scale_level() {
+  const char* env = std::getenv("REPRO_SCALE");
+  if (env == nullptr) return 1;
+  const std::string v = env;
+  if (v == "0" || v == "1" || v == "2") return v[0] - '0';
+  throw std::invalid_argument("REPRO_SCALE must be 0, 1 or 2, got '" + v +
+                              "'");
+}
+
 unsigned default_input_scale(InputClass c) {
-  int level = 1;
-  if (const char* env = std::getenv("REPRO_SCALE")) {
-    level = std::clamp(std::atoi(env), 0, 2);
-  }
+  const int level = repro_scale_level();
   // Per-class scales: high-diameter inputs stay smaller because the
   // topology-driven codes are O(diameter * edges).
   switch (c) {

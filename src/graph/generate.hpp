@@ -66,9 +66,13 @@ const char* input_class_paper_name(InputClass c);
 /// vertex count). Scales are per-class calibrated in default_input_scale().
 Graph make_input(InputClass c, unsigned scale, std::uint64_t seed_salt = 0);
 
-/// Default scale for a class honoring the REPRO_SCALE environment variable:
-/// REPRO_SCALE=0 (tiny, tests), 1 (quick benches, default), 2 (paper-shaped
-/// larger runs).
+/// The input size level the REPRO_SCALE environment variable selects:
+/// 0 (tiny, tests), 1 (quick benches; also when unset), 2 (paper-shaped
+/// larger runs). The variable's one parser: any value other than exactly
+/// "0", "1" or "2" throws std::invalid_argument naming the variable.
+int repro_scale_level();
+
+/// Default scale for a class at the repro_scale_level().
 unsigned default_input_scale(InputClass c);
 
 /// Convenience: all five study inputs at their default scales.

@@ -23,7 +23,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
   constexpr bool kEdge = C.flow == Flow::Edge;
   constexpr bool kPull = C.dir == Direction::Pull;
   constexpr bool kDet = C.det == Determinism::Det;
-  using O = Ops<C.alib>;
+  using K = Kinds<C.alib>;
 
   vcuda::Device dev(opts.device != nullptr ? *opts.device : default_device());
   const vid_t n = g.num_vertices();
@@ -33,7 +33,9 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
   auto row = dev.array(g.row_index());
   auto col = dev.array(g.col_index());
   auto srcl = dev.array(g.src_list());
-  auto cur = dev.array(std::span(st_a));
+  // Spelled-out span types keep the arrays the Kinds<> accessors touch
+  // non-dependent, so calls like cur.ld<K::kLd>(...) need no `template`.
+  auto cur = dev.array(std::span<std::uint32_t>(st_a));
   auto nxt = cur;
   if constexpr (kDet) {
     st_b.assign(n, kMisUndecided);  // st_a is still all-undecided here
@@ -49,8 +51,8 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
 
   std::vector<std::uint32_t> wl_a, wl_b, stat_h, size_h(1, 0), flag_h(1, 0);
   vcuda::DeviceArray<std::uint32_t> wl_in, wl_out, stat;
-  auto wl_size = dev.array(std::span(size_h));
-  auto changed = dev.array(std::span(flag_h));
+  auto wl_size = dev.array(std::span<std::uint32_t>(size_h));
+  auto changed = dev.array(std::span<std::uint32_t>(flag_h));
   std::uint32_t in_size = 0;
   if constexpr (kData) {
     wl_a.resize(n);
@@ -116,13 +118,13 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
                 const vid_t a = srcl.ld(t, e), b = col.ld(t, e);
                 const vid_t from = kPull ? b : a;
                 const vid_t to = kPull ? a : b;
-                const std::uint32_t sf = O::ld(t, cur, from);
-                if (O::ld(t, cur, to) != kMisUndecided) return;
+                const std::uint32_t sf = cur.ld<K::kLd>(t, from);
+                if (cur.ld<K::kLd>(t, to) != kMisUndecided) return;
                 if (sf == kMisIn) {
-                  O::st(t, nxt, to, kMisOut);
-                  O::st(t, changed, 0, 1u);
+                  nxt.st<K::kSt>(t, to, kMisOut);
+                  changed.st<K::kSt>(t, 0, 1u);
                 } else if (sf != kMisOut && mis_beats(from, to)) {
-                  O::st(t, blocked, to, itr);
+                  blocked.st<K::kSt>(t, to, itr);
                 }
               });
         });
@@ -132,7 +134,6 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
       // lane-loop form just refines the live mask after each load.
       const std::uint32_t grid2 = grid_for<Granularity::Thread, C.pers>(dev, n);
       dev.launch(grid2, kBD, [&](vcuda::Block& blk) {
-        using WO = WOps<C.alib>;
         blk.for_each_warp([&](vcuda::WarpCtx& w) {
           for_items_warp<C.pers>(
               w, n, [&](vcuda::WarpCtx::Mask m0, std::uint32_t vbase) {
@@ -140,13 +141,13 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
                 w.for_lanes(m0, [&](int l) {
                   v[l] = vbase + static_cast<std::uint32_t>(l);
                 });
-                WO::ld(w, m0, cur, v.v, sv.v);
+                cur.ld_warp<K::kLd>(w, m0, v.v, sv.v);
                 const auto m1 = w.where(
                     m0, [&](int l) { return sv[l] == kMisUndecided; });
-                WO::ld(w, m1, nxt, v.v, sv.v);
+                nxt.ld_warp<K::kLd>(w, m1, v.v, sv.v);
                 const auto m2 = w.where(
                     m1, [&](int l) { return sv[l] == kMisUndecided; });
-                WO::ld(w, m2, blocked, v.v, sv.v);
+                blocked.ld_warp<K::kLd>(w, m2, v.v, sv.v);
                 const auto m3 =
                     w.where(m2, [&](int l) { return sv[l] != itr; });
                 vcuda::LaneVec<std::uint32_t> in, one, zero;
@@ -155,8 +156,8 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
                   one[l] = 1u;
                   zero[l] = 0u;
                 });
-                WO::st(w, m3, nxt, v.v, in.v);
-                WO::st(w, m3, changed, zero.v, one.v);
+                nxt.st_warp<K::kSt>(w, m3, v.v, in.v);
+                changed.st_warp<K::kSt>(w, m3, zero.v, one.v);
               });
         });
       });
@@ -177,13 +178,13 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
           for_items<kGran, C.pers>(
               t, items, [&](std::uint32_t i, std::uint32_t, std::uint32_t) {
                 const vid_t v = kData ? wl_in.ld(t, i) : i;
-                if (O::ld(t, cur, v) != kMisUndecided) return;
+                if (cur.ld<K::kLd>(t, v) != kMisUndecided) return;
                 const std::uint32_t beg = row.ld(t, v);
                 const std::uint32_t end = row.ld(t, v + 1);
                 bool has_in = false, is_blocked = false;
                 for (std::uint32_t e = beg; e < end; ++e) {
                   const vid_t u = col.ld(t, e);
-                  const std::uint32_t su = O::ld(t, cur, u);
+                  const std::uint32_t su = cur.ld<K::kLd>(t, u);
                   if (su == kMisIn) {
                     has_in = true;
                     break;
@@ -191,25 +192,25 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
                   if (su != kMisOut && mis_beats(u, v)) is_blocked = true;
                 }
                 if (has_in) {
-                  O::st(t, nxt, v, kMisOut);
-                  O::st(t, changed, 0, 1u);
+                  nxt.st<K::kSt>(t, v, kMisOut);
+                  changed.st<K::kSt>(t, 0, 1u);
                   return;
                 }
                 if (is_blocked) {
                   if constexpr (kData) {  // still undecided: requeue
-                    if (O::fetch_max(t, stat, v, itr) != itr) {
+                    if (stat.fetch_max<K::kRmw>(t, v, itr) != itr) {
                       const std::uint32_t idx =
-                          O::fetch_add(t, wl_size, 0, 1u);
+                          wl_size.fetch_add<K::kRmw>(t, 0, 1u);
                       wl_out.st(t, idx, v);
                     }
                   }
                   return;
                 }
-                O::st(t, nxt, v, kMisIn);
-                O::st(t, changed, 0, 1u);
+                nxt.st<K::kSt>(t, v, kMisIn);
+                changed.st<K::kSt>(t, 0, 1u);
                 if constexpr (!kPull) {
                   for (std::uint32_t e = beg; e < end; ++e) {
-                    O::st(t, nxt, col.ld(t, e), kMisOut);
+                    nxt.st<K::kSt>(t, col.ld(t, e), kMisOut);
                   }
                 }
               });
@@ -249,7 +250,6 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
           // round. The shared-flag publishes are free (unrecorded) and the
           // conditional work(1) is a charge-only suffix, so every round's
           // recorded ops stay batch-aligned.
-          using WO = WOps<C.alib>;
           const auto warp_item = [&](vcuda::WarpCtx& w, std::uint32_t& gib) {
             gib = kWarpG ? w.tid(0) / kWS : 0;
             const std::uint32_t group_global =
@@ -283,7 +283,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
               v = item;
             }
             w.for_lanes(all, [&](int l) { vv[l] = v; });
-            WO::ld(w, all, cur, vv.v, sv.v);
+            cur.ld_warp<K::kLd>(w, all, vv.v, sv.v);
             if (sv[0] != kMisUndecided) return;  // warp-uniform guard
             vcuda::LaneVec<std::uint32_t> beg, fin;
             row.ld_warp(w, all, vv.v, beg.v);
@@ -299,7 +299,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
             w.edge_walk(
                 all, e, fin, stride, [&](vcuda::WarpCtx::Mask live) {
                   col.ld_warp(w, live, e.v, u.v);
-                  WO::ld(w, live, cur, u.v, su.v);
+                  cur.ld_warp<K::kLd>(w, live, u.v, su.v);
                   const auto m_in =
                       w.where(live, [&](int l) { return su[l] == kMisIn; });
                   const auto m_blk = w.where(live, [&](int l) {
@@ -331,26 +331,27 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
               v = item;
             }
             vv[0] = v;
-            WO::ld(w, lead, cur, vv.v, sv.v);
+            cur.ld_warp<K::kLd>(w, lead, vv.v, sv.v);
             if (sv[0] != kMisUndecided) return;
             vcuda::LaneVec<std::uint32_t> val, idx0;
             if (has_in[gib] != 0) {
               val[0] = kMisOut;
-              WO::st(w, lead, nxt, vv.v, val.v);
+              nxt.st_warp<K::kSt>(w, lead, vv.v, val.v);
               idx0[0] = 0;
               val[0] = 1u;
-              WO::st(w, lead, changed, idx0.v, val.v);
+              changed.st_warp<K::kSt>(w, lead, idx0.v, val.v);
               return;
             }
             if (blkd[gib] != 0) {
               if constexpr (kData) {
                 vcuda::LaneVec<std::uint32_t> old;
                 val[0] = itr;
-                WO::fetch_max(w, lead, stat, vv.v, val.v, old.v);
+                stat.fetch_max_warp<K::kRmw>(w, lead, vv.v, val.v, old.v);
                 if (old[0] != itr) {
                   idx0[0] = 0;
                   val[0] = 1u;
-                  WO::fetch_add(w, lead, wl_size, idx0.v, val.v, old.v);
+                  wl_size.fetch_add_warp<K::kRmw>(w, lead, idx0.v, val.v,
+                                                  old.v);
                   idx0[0] = old[0];
                   val[0] = v;
                   wl_out.st_warp(w, lead, idx0.v, val.v);
@@ -360,10 +361,10 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
             }
             entered[gib] = 1;
             val[0] = kMisIn;
-            WO::st(w, lead, nxt, vv.v, val.v);
+            nxt.st_warp<K::kSt>(w, lead, vv.v, val.v);
             idx0[0] = 0;
             val[0] = 1u;
-            WO::st(w, lead, changed, idx0.v, val.v);
+            changed.st_warp<K::kSt>(w, lead, idx0.v, val.v);
           });
           blk.sync();
           // Region D (push): the whole group knocks the neighbours out.
@@ -397,7 +398,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
               w.edge_walk(
                   all, e, fin, stride, [&](vcuda::WarpCtx::Mask live) {
                     col.ld_warp(w, live, e.v, u.v);
-                    WO::st(w, live, nxt, u.v, outv.v);
+                    nxt.st_warp<K::kSt>(w, live, u.v, outv.v);
                     return live;
                   });
             });

@@ -53,7 +53,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
   auto fold = [&](vcuda::Thread& t, std::span<double> slots,
                   double& block_ctr, vcuda::Block& blk, double delta) {
     if constexpr (kRed == GpuReduction::GlobalAdd) {
-      res.atomic_add(t, 0, delta);  // Listing 10a
+      res.fetch_add(t, 0, delta);  // Listing 10a
     } else if constexpr (kRed == GpuReduction::BlockAdd) {
       blk.atomic_add_block(t, block_ctr, delta);  // Listing 10b
     } else {
@@ -67,20 +67,21 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
                       double& block_ctr) {
     drain_reduction<kRed, double>(
         blk, slots, block_ctr,
-        [&](vcuda::Thread& t, double total) { res.atomic_add(t, 0, total); });
+        [&](vcuda::Thread& t, double total) { res.fetch_add(t, 0, total); });
   };
 
   // Lane-batched fold: every lane of `mask` folds delta[lane] with the
   // reduction style, charged and applied exactly like popc(mask) scalar
-  // fold() calls in per-lane engine order (the GlobalAdd adds to res[0] go
-  // through the sequenced accessor so the FP accumulation order matches).
+  // fold() calls in per-lane engine order (fetch_add_warp applies the
+  // GlobalAdd adds to res[0] in that order, so the FP accumulation order
+  // matches).
   auto fold_w = [&](vcuda::WarpCtx& w, vcuda::Block& blk,
                     vcuda::WarpCtx::Mask mask, std::span<double> slots,
                     double& block_ctr, const vcuda::LaneVec<double>& delta) {
     if constexpr (kRed == GpuReduction::GlobalAdd) {
       vcuda::LaneVec<std::uint32_t> zero;
       w.for_lanes(mask, [&](int l) { zero[l] = 0; });
-      res.atomic_add_warp_seq(w, mask, zero.v, delta.v);
+      res.fetch_add_warp(w, mask, zero.v, delta.v);
     } else if constexpr (kRed == GpuReduction::BlockAdd) {
       blk.atomic_add_block_warp(w, mask, block_ctr, delta.v);
     } else {
@@ -113,8 +114,8 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
       // Kernel 2: scatter shares along edges (granularity under study).
       // Warp/Block non-persistent blocks that one_round_block accepts run
       // in lane-loop form: each lane adds at most one share, so the float
-      // atomic_adds of a warp form one batch, which the sequenced accessor
-      // applies in per-lane order. Everything else stays per-lane: there a
+      // atomic_adds of a warp form one batch, which fetch_add_warp applies
+      // in per-lane order. Everything else stays per-lane: there a
       // lane's round-2 add and a sibling's round-1 add to the same vertex
       // cross batches (thread granularity, persistent lanes, multi-round
       // blocks), and batching would reorder a floating-point accumulation,
@@ -141,7 +142,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
         });
         vcuda::LaneVec<vid_t> uv;
         col.ld_warp(w, me, ev.v, uv.v);
-        nxt.atomic_add_warp_seq(w, me, uv.v, sharev.v);
+        nxt.fetch_add_warp(w, me, uv.v, sharev.v);
       };
       const std::uint32_t grid1 = grid_for<C.gran, C.pers>(dev, n);
       dev.launch(grid1, kBD, [&](vcuda::Block& blk) {
@@ -163,7 +164,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
                                     cur.ld(t, v) /
                                     static_cast<float>(end - beg);
                 for (std::uint32_t e = beg + off; e < end; e += stride) {
-                  nxt.atomic_add(t, col.ld(t, e), share);
+                  nxt.fetch_add(t, col.ld(t, e), share);
                 }
               });
         });
@@ -171,13 +172,13 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
       // Kernel 3: residual with the reduction style (thread granularity;
       // an elementwise map regardless of the gather/scatter granularity).
       // Lane-loop form for every non-persistent style (the res[0] adds of
-      // one warp land in a single batch, which the sequenced accessor
-      // applies in per-lane order) and for persistent ReductionAdd (each
+      // one warp land in a single batch, which fetch_add_warp applies in
+      // per-lane order) and for persistent ReductionAdd (each
       // lane folds into its own shared slot). Persistent GlobalAdd/BlockAdd
       // stay per-lane: a persistent lane folds into the SHARED counter once
       // per item, so lane A's item-2 add and lane B's item-1 add cross
       // batches — batching reorders a floating-point accumulation across
-      // items, which no sequenced accessor can undo.
+      // items, which no lane order within a batch can undo.
       constexpr bool kResidLaneLoop =
           C.pers == Persistence::NonPersistent ||
           kRed == GpuReduction::ReductionAdd;

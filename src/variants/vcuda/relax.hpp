@@ -24,7 +24,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
   constexpr bool kPull = C.dir == Direction::Pull;
   constexpr bool kDet = C.det == Determinism::Det;
   constexpr bool kRw = C.upd == Update::ReadWrite;
-  using O = Ops<C.alib>;
+  using K = Kinds<C.alib>;
 
   vcuda::Device dev(opts.device != nullptr ? *opts.device : default_device());
   const vid_t n = g.num_vertices();
@@ -38,7 +38,9 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
   auto col = dev.array(g.col_index());
   auto srcl = dev.array(g.src_list());
   auto wts = dev.array(g.weights());
-  auto cur = dev.array(std::span(val_a));
+  // Spelled-out span types keep the arrays the Kinds<> accessors touch
+  // non-dependent, so calls like cur.ld<K::kLd>(...) need no `template`.
+  auto cur = dev.array(std::span<std::uint32_t>(val_a));
   auto nxt = cur;
   if constexpr (kDet) {
     val_b.resize(n);
@@ -47,8 +49,8 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
 
   std::vector<std::uint32_t> wl_a, wl_b, stat_h, size_h(1, 0), flag_h(1, 0);
   vcuda::DeviceArray<std::uint32_t> wl_in, wl_out, stat;
-  auto wl_size = dev.array(std::span(size_h));
-  auto changed = dev.array(std::span(flag_h));
+  auto wl_size = dev.array(std::span<std::uint32_t>(size_h));
+  auto changed = dev.array(std::span<std::uint32_t>(flag_h));
   std::uint32_t wl_cap = 0;
   std::uint32_t in_size = 0;
   if constexpr (kData) {
@@ -130,23 +132,23 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
   auto update = [&](vcuda::Thread& t, vcuda::DeviceArray<std::uint32_t>& arr,
                     vid_t u, std::uint32_t nd) -> bool {
     if constexpr (kRw) {
-      const std::uint32_t old = O::ld(t, arr, u);
+      const std::uint32_t old = arr.ld<K::kLd>(t, u);
       if (nd < old) {
-        O::st(t, arr, u, nd);
+        arr.st<K::kSt>(t, u, nd);
         return true;
       }
       return false;
     } else {
-      return nd < O::fetch_min(t, arr, u, nd);
+      return nd < arr.fetch_min<K::kRmw>(t, u, nd);
     }
   };
 
   auto on_improve = [&](vcuda::Thread& t, vid_t u) {
     if constexpr (!kData) {
-      O::st(t, changed, 0, 1u);
+      changed.st<K::kSt>(t, 0, 1u);
     } else {
       if constexpr (kNoDup) {
-        if (O::fetch_max(t, stat, u, itr) == itr) return;  // Listing 3b
+        if (stat.fetch_max<K::kRmw>(t, u, itr) == itr) return;  // Listing 3b
       }
       if constexpr (kEdge) {
         const std::uint32_t beg = row.ld(t, u), end = row.ld(t, u + 1);
@@ -157,16 +159,16 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
         // (size_h[0] > wl_cap) and silently dropped frontier pushes. `>`
         // (not `>=`) so the first crossing push still lands the counter
         // above the cap for the host to detect.
-        const std::uint32_t seen = O::ld(t, wl_size, 0);
+        const std::uint32_t seen = wl_size.ld<K::kLd>(t, 0);
         if (seen > wl_cap) return;
-        const std::uint32_t base = O::fetch_add(t, wl_size, 0, end - beg);
+        const std::uint32_t base = wl_size.fetch_add<K::kRmw>(t, 0, end - beg);
         // Wrap-safe form of base + (end - beg) > wl_cap.
         if (base > wl_cap || end - beg > wl_cap - base) return;
         for (std::uint32_t e = beg; e < end; ++e) {
           wl_out.st(t, base + (e - beg), e);
         }
       } else {
-        const std::uint32_t idx = O::fetch_add(t, wl_size, 0, 1u);
+        const std::uint32_t idx = wl_size.fetch_add<K::kRmw>(t, 0, 1u);
         if (idx >= wl_cap) return;
         wl_out.st(t, idx, u);  // Listing 3a
       }
@@ -182,13 +184,13 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       const auto e = static_cast<eid_t>(item);
       const vid_t v = srcl.ld(t, e), u = col.ld(t, e);
       if constexpr (kPull) {
-        const std::uint32_t du = O::ld(t, cur, u);
+        const std::uint32_t du = cur.ld<K::kLd>(t, u);
         if (du == kInfDist) return;
         if (update(t, nxt, v, Problem::relax(du, wts.ld(t, e)))) {
           on_improve(t, v);
         }
       } else {
-        const std::uint32_t dv = O::ld(t, cur, v);
+        const std::uint32_t dv = cur.ld<K::kLd>(t, v);
         if (dv == kInfDist) return;
         if (update(t, nxt, u, Problem::relax(dv, wts.ld(t, e)))) {
           on_improve(t, u);
@@ -200,13 +202,13 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       if constexpr (kPull) {
         bool improved = false;
         for (std::uint32_t e = beg + off; e < end; e += stride) {
-          const std::uint32_t du = O::ld(t, cur, col.ld(t, e));
+          const std::uint32_t du = cur.ld<K::kLd>(t, col.ld(t, e));
           if (du == kInfDist) continue;
           improved |= update(t, nxt, v, Problem::relax(du, wts.ld(t, e)));
         }
         if (improved) on_improve(t, v);
       } else {
-        const std::uint32_t dv = O::ld(t, cur, v);
+        const std::uint32_t dv = cur.ld<K::kLd>(t, v);
         if (dv == kInfDist) return;
         for (std::uint32_t e = beg + off; e < end; e += stride) {
           const vid_t u = col.ld(t, e);
@@ -220,17 +222,16 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
 
   // Lane-loop twins of update/on_improve for the one-round vertex body
   // below: one call performs the scalar form for every lane of m, with the
-  // sequenced accessors replaying the per-lane engine's lane order.
+  // lane-batched accessors replaying the per-lane engine's lane order.
   using Mask = vcuda::WarpCtx::Mask;
-  using WO = WOps<C.alib>;
   auto update_w = [&](vcuda::WarpCtx& w, Mask m,
                       vcuda::DeviceArray<std::uint32_t>& arr,
                       const std::uint32_t* u, const std::uint32_t* nd) {
     if constexpr (kRw) {
-      return WO::ld_st_min(w, m, arr, u, nd);
+      return arr.ld_st_min_warp<K::kLd>(w, m, u, nd);
     } else {
       vcuda::LaneVec<std::uint32_t> old;
-      WO::fetch_min(w, m, arr, u, nd, old.v);
+      arr.fetch_min_warp<K::kRmw>(w, m, u, nd, old.v);
       return w.where(m, [&](int l) { return nd[l] < old[l]; });
     }
   };
@@ -241,18 +242,18 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       one[l] = 1u;
     });
     if constexpr (!kData) {
-      WO::st(w, m, changed, zero.v, one.v);
+      changed.st_warp<K::kSt>(w, m, zero.v, one.v);
     } else {
       if constexpr (kNoDup) {
         vcuda::LaneVec<std::uint32_t> itrv, old;
         w.for_lanes(m, [&](int l) { itrv[l] = itr; });
-        WO::fetch_max(w, m, stat, u, itrv.v, old.v);
+        stat.fetch_max_warp<K::kRmw>(w, m, u, itrv.v, old.v);
         m = w.where(m, [&](int l) { return old[l] != itr; });
       }
       vcuda::LaneVec<std::uint32_t> idx;
-      WO::fetch_add(w, m, wl_size, zero.v, one.v, idx.v);
+      wl_size.fetch_add_warp<K::kRmw>(w, m, zero.v, one.v, idx.v);
       m = w.where(m, [&](int l) { return idx[l] < wl_cap; });
-      wl_out.st_warp_seq(w, m, idx.v, u);
+      wl_out.st_warp(w, m, idx.v, u);
     }
   };
 
@@ -277,7 +278,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
     });
     if constexpr (kPull) {
       col.ld_warp(w, me, ev.v, uv.v);
-      WO::ld(w, me, cur, uv.v, dv.v);
+      cur.ld_warp<K::kLd>(w, me, uv.v, dv.v);
       const Mask m1 = w.where(me, [&](int l) { return dv[l] != kInfDist; });
       wts.ld_warp(w, m1, ev.v, wv.v);
       vcuda::LaneVec<std::uint32_t> vv{};
@@ -287,7 +288,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       });
       on_improve_w(w, update_w(w, m1, nxt, vv.v, ndv.v), vv.v);
     } else {
-      const std::uint32_t dsrc = WO::ld_u(w, all, cur, v);
+      const std::uint32_t dsrc = cur.ld_warp_u<K::kLd>(w, all, v);
       if (dsrc == kInfDist) return;
       col.ld_warp(w, me, ev.v, uv.v);
       wts.ld_warp(w, me, ev.v, wv.v);
@@ -333,7 +334,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
     //  - edge flow, Topology+Det+RMW, non-persistent: one arc per lane, cur
     //    is read-only (Det two-array), the infinite-source exit is a mask
     //    refinement, same-target crossings land in the single fetch_min
-    //    batch (the sequenced accessor replays the per-lane lane order), and
+    //    batch (fetch_min_warp replays the per-lane lane order), and
     //    the changed-flag store is a conditional suffix;
     //  - vertex flow, Warp/Block granularity, non-persistent, in every block
     //    one_round_block accepts (each lane walks at most one edge; in-place
@@ -363,14 +364,14 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
                 // Pull relaxes arc-dst into arc-src; push the reverse.
                 auto& fromv = kPull ? bv : av;
                 auto& tov = kPull ? av : bv;
-                WO::ld(w, m0, cur, fromv.v, dv.v);
+                cur.ld_warp<K::kLd>(w, m0, fromv.v, dv.v);
                 const auto m1 =
                     w.where(m0, [&](int l) { return dv[l] != kInfDist; });
                 wts.ld_warp(w, m1, ev.v, wv.v);
                 w.for_lanes(m1, [&](int l) {
                   ndv[l] = Problem::relax(dv[l], wv[l]);
                 });
-                WO::fetch_min(w, m1, nxt, tov.v, ndv.v, oldv.v);
+                nxt.fetch_min_warp<K::kRmw>(w, m1, tov.v, ndv.v, oldv.v);
                 const auto m2 =
                     w.where(m1, [&](int l) { return ndv[l] < oldv[l]; });
                 vcuda::LaneVec<std::uint32_t> zero, one;
@@ -378,7 +379,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
                   zero[l] = 0;
                   one[l] = 1u;
                 });
-                WO::st(w, m2, changed, zero.v, one.v);
+                changed.st_warp<K::kSt>(w, m2, zero.v, one.v);
               });
         });
         return;

@@ -21,7 +21,7 @@ template <StyleConfig C>
 RunResult tc_run(const Graph& g, const RunOptions& opts) {
   constexpr bool kEdge = C.flow == Flow::Edge;
   constexpr GpuReduction kRed = C.gred;
-  using O = Ops<C.alib>;
+  using K = Kinds<C.alib>;
 
   vcuda::Device dev(opts.device != nullptr ? *opts.device : default_device());
   const vid_t n = g.num_vertices();
@@ -31,7 +31,8 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
   auto srcl = dev.array(g.src_list());
 
   std::vector<std::uint64_t> count_h(1, 0);
-  auto count = dev.array(std::span(count_h));
+  // Spelled-out span type: count.fetch_add<K::kRmw> needs no `template`.
+  auto count = dev.array(std::span<std::uint64_t>(count_h));
 
   // Serial merge intersection counting common neighbours > v of u and v.
   auto merge_count = [&](vcuda::Thread& t, vid_t u, vid_t v) {
@@ -124,7 +125,7 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
             }
             if (local == 0) return;
             if constexpr (kRed == GpuReduction::GlobalAdd) {
-              O::fetch_add(t, count, 0, local);  // Listing 10a
+              count.fetch_add<K::kRmw>(t, 0, local);  // Listing 10a
             } else if constexpr (kRed == GpuReduction::BlockAdd) {
               blk.atomic_add_block(t, block_ctr[0], local);
             } else {
@@ -135,7 +136,7 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
     });
     drain_reduction<kRed, std::uint64_t>(
         blk, slots, block_ctr[0], [&](vcuda::Thread& t, std::uint64_t total) {
-          if (total != 0) O::fetch_add(t, count, 0, total);
+          if (total != 0) count.fetch_add<K::kRmw>(t, 0, total);
         });
   });
 

@@ -1,5 +1,5 @@
 // Shared machinery of the virtual-CUDA variant families: the style-driven
-// accessor (classic atomics vs cuda::atomic-with-defaults, paper 2.9), the
+// access kinds (classic atomics vs cuda::atomic-with-defaults, paper 2.9), the
 // granularity/persistence work-item loops (2.7, 2.8), and grid sizing.
 #pragma once
 
@@ -17,138 +17,23 @@ inline constexpr std::uint32_t kWS = 32;
 /// launch configuration; 256 is the common choice).
 inline constexpr std::uint32_t kBD = 256;
 
-/// Shared-data accessor: Classic maps to plain loads/stores and classic
-/// atomics (Listing 9a); CudaAtomic maps to cuda::atomic with DEFAULT
-/// scope/order (Listing 9b), whose loads and stores are fenced and whose
-/// RMWs are drastically slower (Section 5.1). Graph topology arrays are
-/// never atomic, so kernels read those with plain ld() directly.
+/// The access kinds of an atomics library, for shared (non-topology) data:
+/// Classic is plain loads/stores and classic atomics (Listing 9a);
+/// CudaAtomic is cuda::atomic with DEFAULT scope/order (Listing 9b), whose
+/// loads and stores are fenced and whose RMWs are drastically slower
+/// (Section 5.1). Kernels pass them to DeviceArray's accessors; graph
+/// topology arrays are never atomic and use the plain defaults.
 template <AtomicsLib A>
-struct Ops {
-  template <typename T>
-  static T ld(vcuda::Thread& t, const vcuda::DeviceArray<T>& a,
-              std::size_t i) {
-    if constexpr (A == AtomicsLib::Classic) {
-      return a.ld(t, i);
-    } else {
-      return a.ald(t, i);
-    }
-  }
-  template <typename T>
-  static void st(vcuda::Thread& t, const vcuda::DeviceArray<T>& a,
-                 std::size_t i, T v) {
-    if constexpr (A == AtomicsLib::Classic) {
-      a.st(t, i, v);
-    } else {
-      a.ast(t, i, v);
-    }
-  }
-  template <typename T>
-  static T fetch_min(vcuda::Thread& t, const vcuda::DeviceArray<T>& a,
-                     std::size_t i, T v) {
-    if constexpr (A == AtomicsLib::Classic) {
-      return a.atomic_min(t, i, v);
-    } else {
-      return a.afetch_min(t, i, v);
-    }
-  }
-  template <typename T>
-  static T fetch_max(vcuda::Thread& t, const vcuda::DeviceArray<T>& a,
-                     std::size_t i, T v) {
-    if constexpr (A == AtomicsLib::Classic) {
-      return a.atomic_max(t, i, v);
-    } else {
-      return a.afetch_max(t, i, v);
-    }
-  }
-  template <typename T>
-  static T fetch_add(vcuda::Thread& t, const vcuda::DeviceArray<T>& a,
-                     std::size_t i, T v) {
-    if constexpr (A == AtomicsLib::Classic) {
-      return a.atomic_add(t, i, v);
-    } else {
-      return a.afetch_add(t, i, v);
-    }
-  }
-};
-
-/// Lane-batched sibling of Ops: one call performs the accessor for every
-/// lane of the mask as one SIMT instruction group, dispatching on the
-/// atomics library exactly like Ops. All mutating forms are the *sequenced*
-/// accessors (functional effects in the per-lane engine's scrambled lane
-/// order), so a migrated kernel's same-batch address collisions reproduce
-/// the per-lane path's old-value chains bit-for-bit; for collision-free
-/// batches sequenced and ascending application coincide anyway.
-template <AtomicsLib A>
-struct WOps {
-  /// The load kind of this atomics library (plain ld vs cuda::atomic load).
-  static constexpr vcuda::AccessKind kLoad =
+struct Kinds {
+  static constexpr vcuda::AccessKind kLd =
       A == AtomicsLib::Classic ? vcuda::AccessKind::Load
                                : vcuda::AccessKind::CudaAtomicLdSt;
-
-  template <typename T, typename Idx>
-  static void ld(vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m,
-                 const vcuda::DeviceArray<T>& a, const Idx* idx, T* out) {
-    if constexpr (A == AtomicsLib::Classic) {
-      a.ld_warp(w, m, idx, out);
-    } else {
-      a.ald_warp(w, m, idx, out);
-    }
-  }
-  template <typename T, typename Idx>
-  static void st(vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m,
-                 const vcuda::DeviceArray<T>& a, const Idx* idx,
-                 const T* val) {
-    if constexpr (A == AtomicsLib::Classic) {
-      a.st_warp_seq(w, m, idx, val);
-    } else {
-      a.ast_warp_seq(w, m, idx, val);
-    }
-  }
-  template <typename T, typename Idx>
-  static void fetch_min(vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m,
-                        const vcuda::DeviceArray<T>& a, const Idx* idx,
-                        const T* val, T* old = nullptr) {
-    if constexpr (A == AtomicsLib::Classic) {
-      a.atomic_min_warp_seq(w, m, idx, val, old);
-    } else {
-      a.afetch_min_warp_seq(w, m, idx, val, old);
-    }
-  }
-  template <typename T, typename Idx>
-  static void fetch_max(vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m,
-                        const vcuda::DeviceArray<T>& a, const Idx* idx,
-                        const T* val, T* old = nullptr) {
-    if constexpr (A == AtomicsLib::Classic) {
-      a.atomic_max_warp_seq(w, m, idx, val, old);
-    } else {
-      a.afetch_max_warp_seq(w, m, idx, val, old);
-    }
-  }
-  template <typename T, typename Idx>
-  static void fetch_add(vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m,
-                        const vcuda::DeviceArray<T>& a, const Idx* idx,
-                        const T* val, T* old = nullptr) {
-    if constexpr (A == AtomicsLib::Classic) {
-      a.atomic_add_warp_seq(w, m, idx, val, old);
-    } else {
-      a.afetch_add_warp_seq(w, m, idx, val, old);
-    }
-  }
-  /// Every lane of m loads a[i]; returns the warp-uniform value.
-  template <typename T>
-  static T ld_u(vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m,
-                const vcuda::DeviceArray<T>& a, std::size_t i) {
-    return a.template ld_warp_u<kLoad>(w, m, i);
-  }
-  /// Read-write min (ld, then st where val < old); returns the lanes that
-  /// stored.
-  template <typename T, typename Idx>
-  static vcuda::WarpCtx::Mask ld_st_min(vcuda::WarpCtx& w,
-                                        vcuda::WarpCtx::Mask m,
-                                        const vcuda::DeviceArray<T>& a,
-                                        const Idx* idx, const T* val) {
-    return a.template ld_st_min_warp_seq<kLoad>(w, m, idx, val);
-  }
+  static constexpr vcuda::AccessKind kSt =
+      A == AtomicsLib::Classic ? vcuda::AccessKind::Store
+                               : vcuda::AccessKind::CudaAtomicLdSt;
+  static constexpr vcuda::AccessKind kRmw =
+      A == AtomicsLib::Classic ? vcuda::AccessKind::Atomic
+                               : vcuda::AccessKind::CudaAtomicRmw;
 };
 
 /// Grid size for `items` work items under the granularity/persistence
@@ -270,8 +155,8 @@ void for_items_warp_gran(vcuda::WarpCtx& w, std::uint32_t items, Fn&& fn) {
 /// every item's vertex (vertex_of(item)) has at most one edge per lane,
 /// deg <= kWS (Warp) or kBD (Block): then each lane's k-th op is its
 /// warp's k-th batch, and the lane-loop body (run_one_round)
-/// reproduces the per-lane engine's op groups, charges and sequenced
-/// old-value chains exactly. `in_place` styles (NonDet: one array read and
+/// reproduces the per-lane engine's op groups, charges and old-value
+/// chains exactly. `in_place` styles (NonDet: one array read and
 /// written) also need no self-loop, whose write a sibling lane's read of
 /// the vertex's own value would see in per-lane order only. Reads the CSR
 /// on the host; records nothing.

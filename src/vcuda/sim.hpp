@@ -422,6 +422,32 @@ template <typename T>
 int delta_sign(const T& oldv, const T& newv) {
   return newv < oldv ? -1 : (oldv < newv ? 1 : 0);
 }
+
+/// The kinds each DeviceArray operation accepts (checked at compile time).
+constexpr bool is_load_kind(AccessKind k) {
+  return k == AccessKind::Load || k == AccessKind::CudaAtomicLdSt;
+}
+constexpr bool is_store_kind(AccessKind k) {
+  return k == AccessKind::Store || k == AccessKind::CudaAtomicLdSt;
+}
+constexpr bool is_rmw_kind(AccessKind k) {
+  return k == AccessKind::Atomic || k == AccessKind::CudaAtomicRmw;
+}
+
+/// The read-modify-write operations of DeviceArray's fetch_* accessors.
+enum class RmwOp : std::uint8_t { Min, Max, Add };
+
+/// The value `Op` leaves at an address that held `old`.
+template <RmwOp Op, typename T>
+T rmw_result(T old, T v) {
+  if constexpr (Op == RmwOp::Min) {
+    return v < old ? v : old;
+  } else if constexpr (Op == RmwOp::Max) {
+    return v > old ? v : old;
+  } else {
+    return static_cast<T>(old + v);
+  }
+}
 }  // namespace detail
 
 /// Handle to one simulated warp, valid inside Block::for_each_warp — the
@@ -503,9 +529,9 @@ class WarpCtx {
 
   /// Runs f(lane) for every active lane in the SAME scrambled lane order
   /// the per-lane engine visits lanes (the coprime-stride permutation of
-  /// Block::for_each_thread). The sequenced *_warp_seq accessors apply
-  /// their functional effects through this, so a batch whose lanes hit the
-  /// same address produces the exact old-value chain the per-lane path
+  /// Block::for_each_thread). DeviceArray's mutating gathers apply their
+  /// functional effects through this, so a batch whose lanes hit the same
+  /// address produces the exact old-value chain the per-lane path
   /// produced — the key to bit-identical migration of sibling-visible RMWs.
   template <typename F>
   void for_lanes_seq(Mask m, F&& f) const {
@@ -586,18 +612,6 @@ class WarpCtx {
   template <AccessKind K>
   void record_uniform(Mask m);
 
-  /// Fused ragged relaxation step: u[l] = col[cur[l]];
-  /// atomicMin(&dst[u[l]], val[l]) for every live lane. Functionally and in
-  /// modeled accounting identical to col.ld_warp followed by
-  /// dst.atomic_min_warp, but one pass over the live mask instead of four —
-  /// this pair is the per-round body of every push-relaxation edge walk.
-  /// Requires col and dst to be distinct arrays (the unfused pair performs
-  /// all gathers before any relaxation; the fused loop interleaves them).
-  template <typename C, typename Idx, typename T>
-  void relax_min(Mask m, const DeviceArray<C>& col, const Idx* cur,
-                 const DeviceArray<T>& dst, const T* val,
-                 std::remove_const_t<C>* u);
-
  private:
   friend class Block;
 
@@ -632,10 +646,17 @@ class WarpCtx {
   Mask full_ = 0;
 };
 
-/// A global-memory array. All element access goes through a Thread so the
-/// simulator can account for it. The simulator executes sequentially, so
-/// the "atomic" operations are ordinary read-modify-writes functionally;
-/// their cost is what differs.
+/// A global-memory array. All element access goes through a Thread (or, a
+/// lane batch at a time, a WarpCtx) so the simulator can account for it.
+/// Each operation exists once; its AccessKind template argument is the
+/// paper's classic-vs-cuda::atomic choice (2.9) and says how it is charged:
+///  - loads take Load or CudaAtomicLdSt (cuda::atomic load());
+///  - stores take Store or CudaAtomicLdSt (cuda::atomic store());
+///  - fetch_min/max/add take Atomic (atomicMin/Max/Add) or CudaAtomicRmw
+///    (cuda::atomic fetch_min()/fetch_max()/fetch_add()).
+/// K defaults to the classic CUDA kind. The simulator executes
+/// sequentially, so the "atomic" operations are ordinary read-modify-writes
+/// functionally; their cost is what differs.
 template <typename T>
 class DeviceArray {
  public:
@@ -650,46 +671,44 @@ class DeviceArray {
 
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] std::span<T> raw() const { return data_; }
-  /// The virtual device base recording uses (WarpCtx::relax_min needs it).
+  /// The virtual device base recording uses.
   [[nodiscard]] const void* rec_base() const { return rb_; }
 
-  // --- classic CUDA accesses (paper Listing 9a world) ---------------------
+  // --- per-thread accesses (paper Listing 9a/9b) --------------------------
   // Race hooks (and their delta_sign computation) are gated on race_on() so
   // the default timing configuration pays nothing per access beyond one
   // predictable branch.
+  template <AccessKind K = AccessKind::Load>
   T ld(Thread& t, std::size_t i) const {
-    t.record(rb_, i, sizeof(T), AccessKind::Load);
-    if (t.race_on()) t.race_read(&data_[i], false);
+    static_assert(detail::is_load_kind(K));
+    t.record(rb_, i, sizeof(T), K);
+    if (t.race_on()) t.race_read(&data_[i], K == AccessKind::CudaAtomicLdSt);
     return data_[i];
   }
+  template <AccessKind K = AccessKind::Store>
   void st(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::Store);
-    if (t.race_on())
-      t.race_write(&data_[i], false, detail::delta_sign(data_[i], v));
+    static_assert(detail::is_store_kind(K));
+    t.record(rb_, i, sizeof(T), K);
+    if (t.race_on()) {
+      t.race_write(&data_[i], K == AccessKind::CudaAtomicLdSt,
+                   detail::delta_sign(data_[i], v));
+    }
     data_[i] = v;
   }
-  T atomic_min(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::Atomic);
-    const T old = data_[i];
-    if (t.race_on()) t.race_write(&data_[i], true, v < old ? -1 : 0);
-    if (v < old) data_[i] = v;
-    return old;
+  /// Stores min(old, v) at i; returns old.
+  template <AccessKind K = AccessKind::Atomic>
+  T fetch_min(Thread& t, std::size_t i, T v) const {
+    return fetch<K, detail::RmwOp::Min>(t, i, v);
   }
-  T atomic_max(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::Atomic);
-    const T old = data_[i];
-    if (t.race_on()) t.race_write(&data_[i], true, old < v ? 1 : 0);
-    if (v > old) data_[i] = v;
-    return old;
+  /// Stores max(old, v) at i; returns old.
+  template <AccessKind K = AccessKind::Atomic>
+  T fetch_max(Thread& t, std::size_t i, T v) const {
+    return fetch<K, detail::RmwOp::Max>(t, i, v);
   }
-  T atomic_add(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::Atomic);
-    const T old = data_[i];
-    if (t.race_on())
-      t.race_write(&data_[i], true,
-                   detail::delta_sign(old, static_cast<T>(old + v)));
-    data_[i] = old + v;
-    return old;
+  /// Stores old + v at i; returns old.
+  template <AccessKind K = AccessKind::Atomic>
+  T fetch_add(Thread& t, std::size_t i, T v) const {
+    return fetch<K, detail::RmwOp::Add>(t, i, v);
   }
   /// atomicCAS: returns the old value (compare to `expected` to test).
   T atomic_cas(Thread& t, std::size_t i, T expected, T desired) const {
@@ -702,64 +721,34 @@ class DeviceArray {
     return old;
   }
 
-  // --- cuda::atomic with default settings (paper Listing 9b world) --------
-  T ald(Thread& t, std::size_t i) const {
-    t.record(rb_, i, sizeof(T), AccessKind::CudaAtomicLdSt);
-    if (t.race_on()) t.race_read(&data_[i], true);
-    return data_[i];
-  }
-  void ast(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::CudaAtomicLdSt);
-    if (t.race_on())
-      t.race_write(&data_[i], true, detail::delta_sign(data_[i], v));
-    data_[i] = v;
-  }
-  T afetch_min(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::CudaAtomicRmw);
-    const T old = data_[i];
-    if (t.race_on()) t.race_write(&data_[i], true, v < old ? -1 : 0);
-    if (v < old) data_[i] = v;
-    return old;
-  }
-  T afetch_max(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::CudaAtomicRmw);
-    const T old = data_[i];
-    if (t.race_on()) t.race_write(&data_[i], true, old < v ? 1 : 0);
-    if (v > old) data_[i] = v;
-    return old;
-  }
-  T afetch_add(Thread& t, std::size_t i, T v) const {
-    t.record(rb_, i, sizeof(T), AccessKind::CudaAtomicRmw);
-    const T old = data_[i];
-    if (t.race_on())
-      t.race_write(&data_[i], true,
-                   detail::delta_sign(old, static_cast<T>(old + v)));
-    data_[i] = old + v;
-    return old;
-  }
-
   // --- lane-batched accessors (lane-loop kernels; see WarpCtx) ------------
   // One call performs the operation for every lane in `m` as one SIMT
-  // instruction group. The functional lane loops are split from the race
-  // hooks so the default timing configuration runs tight vectorizable loops
-  // over the SoA arrays. Stores and atomics apply in ascending lane order
-  // (deterministic; within one hardware instruction lane order is
-  // unspecified anyway).
+  // instruction group, recorded and charged exactly like the per-lane
+  // accesses of those lanes. Loads and contiguous stores (whose lanes never
+  // collide) run tight vectorizable loops over the SoA arrays, split from
+  // the race hooks. Every mutating gather applies its lanes in
+  // WarpCtx::for_lanes_seq order, the per-lane engine's scrambled lane
+  // order: when several lanes of one batch hit the same address, each
+  // lane's old value and the final stored value are exactly what the
+  // for_each_thread path produces.
 
   /// out[l] = data[idx[l]] for every active lane.
-  template <typename Idx>
+  template <AccessKind K = AccessKind::Load, typename Idx>
   void ld_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
                std::remove_const_t<T>* out) const {
-    w.template record_gather<AccessKind::Load>(m, rb_, sizeof(T),
-                                               idx);
+    static_assert(detail::is_load_kind(K));
+    w.template record_gather<K>(m, rb_, sizeof(T), idx);
     if ((m & (m + 1)) == 0) {  // prefix mask: active lanes are [0, n)
       const int n = static_cast<int>(std::bit_width(m));
       for (int l = 0; l < n; ++l) out[l] = data_[idx[l]];
     } else {
       w.for_lanes(m, [&](int l) { out[l] = data_[idx[l]]; });
     }
-    if (w.race_on())
-      w.for_lanes(m, [&](int l) { w.race_read(l, &data_[idx[l]], false); });
+    if (w.race_on()) {
+      w.for_lanes(m, [&](int l) {
+        w.race_read(l, &data_[idx[l]], K == AccessKind::CudaAtomicLdSt);
+      });
+    }
   }
   /// out[l] = data[first + l] for every active lane.
   void ld_warp_c(WarpCtx& w, WarpCtx::Mask m, std::uint64_t first,
@@ -777,11 +766,11 @@ class DeviceArray {
       w.for_lanes(m, [&](int l) { w.race_read(l, &data_[first + l], false); });
   }
   /// Every active lane loads data[i] (a warp-uniform index); returns the
-  /// value. K is Load (plain) or CudaAtomicLdSt (cuda::atomic load()).
+  /// value.
   template <AccessKind K = AccessKind::Load>
   std::remove_const_t<T> ld_warp_u(WarpCtx& w, WarpCtx::Mask m,
                                    std::size_t i) const {
-    static_assert(K == AccessKind::Load || K == AccessKind::CudaAtomicLdSt);
+    static_assert(detail::is_load_kind(K));
     w.template record_uniform<K>(m);
     if (w.race_on()) {
       w.for_lanes(m, [&](int l) {
@@ -791,29 +780,6 @@ class DeviceArray {
     return data_[i];
   }
 
-  /// data[idx[l]] = val[l] for every active lane.
-  template <typename Idx>
-  void st_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-               const T* val) const {
-    w.template record_gather<AccessKind::Store>(m, rb_, sizeof(T),
-                                                idx);
-    if (!w.race_on()) {
-      if ((m & (m + 1)) == 0) {
-        const int n = static_cast<int>(std::bit_width(m));
-        for (int l = 0; l < n; ++l) data_[idx[l]] = val[l];
-      } else {
-        w.for_lanes(m, [&](int l) { data_[idx[l]] = val[l]; });
-      }
-    } else {
-      // Hook-then-store per lane, like the scalar path: delta_sign must see
-      // the value this lane's store overwrites.
-      w.for_lanes(m, [&](int l) {
-        w.race_write(l, &data_[idx[l]], false,
-                     detail::delta_sign(data_[idx[l]], val[l]));
-        data_[idx[l]] = val[l];
-      });
-    }
-  }
   /// data[first + l] = val[l] for every active lane.
   void st_warp_c(WarpCtx& w, WarpCtx::Mask m, std::uint64_t first,
                  const T* val) const {
@@ -857,245 +823,49 @@ class DeviceArray {
     }
   }
 
-  /// atomicMin on data[idx[l]] with val[l]; old values to `old` if non-null.
-  template <typename Idx>
-  void atomic_min_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                       const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::Atomic>(m, rb_, sizeof(T),
-                                                 idx);
-    w.for_lanes(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, val[l] < o ? -1 : 0);
-      if (val[l] < o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-  template <typename Idx>
-  void atomic_max_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                       const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::Atomic>(m, rb_, sizeof(T),
-                                                 idx);
-    w.for_lanes(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, o < val[l] ? 1 : 0);
-      if (val[l] > o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-  template <typename Idx>
-  void atomic_add_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                       const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::Atomic>(m, rb_, sizeof(T),
-                                                 idx);
-    w.for_lanes(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on())
-        w.race_write(l, &tgt, true,
-                     detail::delta_sign(o, static_cast<T>(o + val[l])));
-      tgt = o + val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-
-  /// cuda::atomic load/fetch ops, lane-batched (fence-charged kinds).
-  template <typename Idx>
-  void ald_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                std::remove_const_t<T>* out) const {
-    w.template record_gather<AccessKind::CudaAtomicLdSt>(m, rb_,
-                                                         sizeof(T), idx);
-    w.for_lanes(m, [&](int l) {
-      if (w.race_on()) w.race_read(l, &data_[idx[l]], true);
-      out[l] = data_[idx[l]];
-    });
-  }
-  template <typename Idx>
-  void ast_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                const T* val) const {
-    w.template record_gather<AccessKind::CudaAtomicLdSt>(m, rb_,
-                                                         sizeof(T), idx);
-    w.for_lanes(m, [&](int l) {
-      if (w.race_on())
-        w.race_write(l, &data_[idx[l]], true,
+  /// data[idx[l]] = val[l] for every active lane (on an address collision
+  /// the last lane in per-lane engine order wins).
+  template <AccessKind K = AccessKind::Store, typename Idx>
+  void st_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
+               const T* val) const {
+    static_assert(detail::is_store_kind(K));
+    w.template record_gather<K>(m, rb_, sizeof(T), idx);
+    w.for_lanes_seq(m, [&](int l) {
+      if (w.race_on()) {
+        w.race_write(l, &data_[idx[l]], K == AccessKind::CudaAtomicLdSt,
                      detail::delta_sign(data_[idx[l]], val[l]));
+      }
       data_[idx[l]] = val[l];
     });
   }
-  template <typename Idx>
-  void afetch_min_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                       const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::CudaAtomicRmw>(m, rb_,
-                                                        sizeof(T), idx);
-    w.for_lanes(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, val[l] < o ? -1 : 0);
-      if (val[l] < o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
+  /// fetch_min of val[l] at idx[l] for every active lane; the old values go
+  /// to `old` if it is non-null.
+  template <AccessKind K = AccessKind::Atomic, typename Idx>
+  void fetch_min_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
+                      const T* val, T* old = nullptr) const {
+    fetch_warp<K, detail::RmwOp::Min>(w, m, idx, val, old);
   }
-  template <typename Idx>
-  void afetch_add_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                       const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::CudaAtomicRmw>(m, rb_,
-                                                        sizeof(T), idx);
-    w.for_lanes(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on())
-        w.race_write(l, &tgt, true,
-                     detail::delta_sign(o, static_cast<T>(o + val[l])));
-      tgt = o + val[l];
-      if (old != nullptr) old[l] = o;
-    });
+  template <AccessKind K = AccessKind::Atomic, typename Idx>
+  void fetch_max_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
+                      const T* val, T* old = nullptr) const {
+    fetch_warp<K, detail::RmwOp::Max>(w, m, idx, val, old);
   }
-  template <typename Idx>
-  void afetch_max_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                       const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::CudaAtomicRmw>(m, rb_,
-                                                        sizeof(T), idx);
-    w.for_lanes(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, o < val[l] ? 1 : 0);
-      if (val[l] > o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-
-  // --- sequenced lane-batched accessors (*_warp_seq) ----------------------
-  // Identical recording and charging to the *_warp flavors (the accounting
-  // is order-commutative: per-lane charge slots are independent and the
-  // fence pool repeat-adds one constant), but the FUNCTIONAL effects apply
-  // in WarpCtx::for_lanes_seq order — the per-lane engine's scrambled lane
-  // order. When several lanes of one batch hit the same address, each
-  // lane's observed old value (and the final stored value) is exactly what
-  // the for_each_thread path produced, so migrated kernels with
-  // sibling-visible same-batch RMWs/stores stay bit-identical.
-
-  /// data[idx[l]] = val[l], applied in per-lane engine order (last writer
-  /// in that order wins on address collisions).
-  template <typename Idx>
-  void st_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                   const T* val) const {
-    w.template record_gather<AccessKind::Store>(m, rb_, sizeof(T),
-                                                idx);
-    w.for_lanes_seq(m, [&](int l) {
-      if (w.race_on())
-        w.race_write(l, &data_[idx[l]], false,
-                     detail::delta_sign(data_[idx[l]], val[l]));
-      data_[idx[l]] = val[l];
-    });
-  }
-  /// cuda::atomic store, applied in per-lane engine order.
-  template <typename Idx>
-  void ast_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                    const T* val) const {
-    w.template record_gather<AccessKind::CudaAtomicLdSt>(m, rb_,
-                                                         sizeof(T), idx);
-    w.for_lanes_seq(m, [&](int l) {
-      if (w.race_on())
-        w.race_write(l, &data_[idx[l]], true,
-                     detail::delta_sign(data_[idx[l]], val[l]));
-      data_[idx[l]] = val[l];
-    });
-  }
-  template <typename Idx>
-  void atomic_min_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                           const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::Atomic>(m, rb_, sizeof(T),
-                                                 idx);
-    w.for_lanes_seq(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, val[l] < o ? -1 : 0);
-      if (val[l] < o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-  template <typename Idx>
-  void atomic_max_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                           const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::Atomic>(m, rb_, sizeof(T),
-                                                 idx);
-    w.for_lanes_seq(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, o < val[l] ? 1 : 0);
-      if (val[l] > o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-  template <typename Idx>
-  void atomic_add_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                           const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::Atomic>(m, rb_, sizeof(T),
-                                                 idx);
-    w.for_lanes_seq(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on())
-        w.race_write(l, &tgt, true,
-                     detail::delta_sign(o, static_cast<T>(o + val[l])));
-      tgt = o + val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-  template <typename Idx>
-  void afetch_min_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                           const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::CudaAtomicRmw>(m, rb_,
-                                                        sizeof(T), idx);
-    w.for_lanes_seq(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, val[l] < o ? -1 : 0);
-      if (val[l] < o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-  template <typename Idx>
-  void afetch_max_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                           const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::CudaAtomicRmw>(m, rb_,
-                                                        sizeof(T), idx);
-    w.for_lanes_seq(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on()) w.race_write(l, &tgt, true, o < val[l] ? 1 : 0);
-      if (val[l] > o) tgt = val[l];
-      if (old != nullptr) old[l] = o;
-    });
-  }
-  template <typename Idx>
-  void afetch_add_warp_seq(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
-                           const T* val, T* old = nullptr) const {
-    w.template record_gather<AccessKind::CudaAtomicRmw>(m, rb_,
-                                                        sizeof(T), idx);
-    w.for_lanes_seq(m, [&](int l) {
-      T& tgt = data_[idx[l]];
-      const T o = tgt;
-      if (w.race_on())
-        w.race_write(l, &tgt, true,
-                     detail::delta_sign(o, static_cast<T>(o + val[l])));
-      tgt = o + val[l];
-      if (old != nullptr) old[l] = o;
-    });
+  template <AccessKind K = AccessKind::Atomic, typename Idx>
+  void fetch_add_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
+                      const T* val, T* old = nullptr) const {
+    fetch_warp<K, detail::RmwOp::Add>(w, m, idx, val, old);
   }
   /// Read-write min (`o = a[i]; if (v < o) a[i] = v;`, paper Listing 5a),
-  /// applied lane by lane in per-lane engine order, so a lane sees the
-  /// stores of the lanes visited before it exactly as the scalar ld+st pair
-  /// does. Records the load batch over m, then the store batch over the
-  /// lanes that stored, and returns that store mask. K is the load kind:
-  /// Load pairs with Store (plain ld/st), CudaAtomicLdSt with itself
-  /// (cuda::atomic load()/store()).
+  /// applied lane by lane, so a lane sees the stores of the lanes visited
+  /// before it exactly as the per-lane ld+st pair does. Records the load
+  /// batch over m, then the store batch over the lanes that stored, and
+  /// returns that store mask. K is the load kind: Load pairs with Store
+  /// (plain ld/st), CudaAtomicLdSt with itself (cuda::atomic
+  /// load()/store()).
   template <AccessKind K = AccessKind::Load, typename Idx>
-  WarpCtx::Mask ld_st_min_warp_seq(WarpCtx& w, WarpCtx::Mask m,
-                                   const Idx* idx, const T* val,
-                                   T* old = nullptr) const {
-    static_assert(K == AccessKind::Load || K == AccessKind::CudaAtomicLdSt);
+  WarpCtx::Mask ld_st_min_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx,
+                               const T* val, T* old = nullptr) const {
+    static_assert(detail::is_load_kind(K));
     constexpr bool kAtomic = K == AccessKind::CudaAtomicLdSt;
     constexpr AccessKind kStore = kAtomic ? K : AccessKind::Store;
     w.template record_gather<K>(m, rb_, sizeof(T), idx);
@@ -1117,6 +887,33 @@ class DeviceArray {
   }
 
  private:
+  // The one body of fetch_min/max/add.
+  template <AccessKind K, detail::RmwOp Op>
+  T fetch(Thread& t, std::size_t i, T v) const {
+    static_assert(detail::is_rmw_kind(K));
+    t.record(rb_, i, sizeof(T), K);
+    const T old = data_[i];
+    const T nv = detail::rmw_result<Op>(old, v);
+    if (t.race_on()) t.race_write(&data_[i], true, detail::delta_sign(old, nv));
+    data_[i] = nv;
+    return old;
+  }
+  // The one body of fetch_min_warp/fetch_max_warp/fetch_add_warp.
+  template <AccessKind K, detail::RmwOp Op, typename Idx>
+  void fetch_warp(WarpCtx& w, WarpCtx::Mask m, const Idx* idx, const T* val,
+                  T* old) const {
+    static_assert(detail::is_rmw_kind(K));
+    w.template record_gather<K>(m, rb_, sizeof(T), idx);
+    w.for_lanes_seq(m, [&](int l) {
+      T& tgt = data_[idx[l]];
+      const T o = tgt;
+      const T nv = detail::rmw_result<Op>(o, val[l]);
+      if (w.race_on()) w.race_write(l, &tgt, true, detail::delta_sign(o, nv));
+      tgt = nv;
+      if (old != nullptr) old[l] = o;
+    });
+  }
+
   std::span<T> data_;
   const void* rb_ = nullptr;  // virtual base for recording (see ctor)
 };
@@ -1192,7 +989,7 @@ class Block {
       const std::uint32_t count = std::min(bdim_, (w + 1) * ws) - lo;
       rec_.set_active_lanes(static_cast<int>(count));
       // The warp carries the per-lane engine's lane-visit stride so the
-      // sequenced accessors can replay its exact lane order (for_lanes_seq).
+      // mutating gathers can replay its exact lane order (for_lanes_seq).
       ctx.reset_warp(lo, static_cast<int>(count),
                      count == ws ? lane_step_full_ : lane_step_tail_);
       fn(ctx);
@@ -1718,63 +1515,6 @@ inline void WarpCtx::record_uniform(Mask m) {
   // adjacent-compare give for equal indices.
   dev_.add_mem_instructions(1);
   dev_.add_transactions(1);
-}
-
-template <typename C, typename Idx, typename T>
-inline void WarpCtx::relax_min(Mask m, const DeviceArray<C>& col,
-                               const Idx* cur, const DeviceArray<T>& dst,
-                               const T* val, std::remove_const_t<C>* u) {
-  if (m == 0) return;
-  // Racecheck must observe the unfused hook sequence, so it delegates to
-  // the pair the fusion replaces.
-  if (race_on()) {
-    col.ld_warp(*this, m, cur, u);
-    dst.atomic_min_warp(*this, m, u, val);
-    return;
-  }
-  rec_.lane_accesses_ += 2 * static_cast<std::uint64_t>(std::popcount(m));
-  const std::uint64_t bc =
-      reinterpret_cast<std::uint64_t>(col.rec_base()) & rec_.base_mask_;
-  const std::uint64_t bd =
-      reinterpret_cast<std::uint64_t>(dst.rec_base()) & rec_.base_mask_;
-  const double cl = rec_.lane_charge_[static_cast<std::size_t>(
-      AccessKind::Load)];
-  const double ca = rec_.lane_charge_[static_cast<std::size_t>(
-      AccessKind::Atomic)];
-  const int sh = rec_.line_shift_;
-  const std::span<C> cd = col.raw();
-  const std::span<T> dd = dst.raw();
-  // One scan does it all. Per lane slot the charge sequence is load-add
-  // then atomic-add, exactly what the unfused record pair applies; the
-  // hotspot and transaction accounting runs after the scan from the
-  // collected batches, so fast_mem/fast_chain see the same inputs in the
-  // same order as the two separate record_gather calls.
-  alignas(64) std::uint64_t lines[kMaxLanes];
-  alignas(64) std::uint64_t addrs[kMaxLanes];
-  int n = 0;
-  for (Mask mm = m; mm != 0; mm &= mm - 1) {
-    const int l = std::countr_zero(mm);
-    rec_.lane_cycles_[l] += cl;
-    const auto uv = cd[cur[l]];
-    u[l] = uv;
-    lines[n] = (bc + static_cast<std::uint64_t>(cur[l]) * sizeof(C)) >> sh;
-    rec_.lane_cycles_[l] += ca;
-    addrs[n] = bd + static_cast<std::uint64_t>(uv) * sizeof(T);
-    T& tgt = dd[uv];
-    if (val[l] < tgt) tgt = val[l];
-    ++n;
-  }
-  if (n == 1) {
-    dev_.add_mem_instructions(1);
-    dev_.add_transactions(1);
-    dev_.note_atomic_chain(detail::mix_addr(addrs[0]),
-                           rec_.spec_->same_address_atomic_cycles,
-                           rec_.owner_);
-    dev_.add_transactions(1);
-    return;
-  }
-  fast_mem(lines, n);
-  fast_chain(addrs, n, /*rmw=*/false);
 }
 
 namespace detail {

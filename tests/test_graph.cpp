@@ -3,7 +3,10 @@
 // round trips, and property computation.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/csr.hpp"
 #include "graph/generate.hpp"
@@ -137,6 +140,39 @@ TEST(GraphIo, DimacsRoundTrip) {
   EXPECT_EQ(h.num_edges(), g.num_edges());
   for (eid_t e = 0; e < g.num_edges(); ++e) {
     EXPECT_EQ(h.arc_dst(e), g.arc_dst(e));
+  }
+}
+
+TEST(Generators, ReproScaleIsExactlyZeroOneOrTwo) {
+  const char* ambient = std::getenv("REPRO_SCALE");
+  const std::string saved = ambient != nullptr ? ambient : "";
+  unsetenv("REPRO_SCALE");
+  EXPECT_EQ(repro_scale_level(), 1);
+  EXPECT_EQ(default_input_scale(InputClass::Grid2d), 13u);
+  const unsigned grid2d[] = {8, 13, 18};
+  for (int level = 0; level <= 2; ++level) {
+    setenv("REPRO_SCALE", std::to_string(level).c_str(), 1);
+    EXPECT_EQ(repro_scale_level(), level);
+    EXPECT_EQ(default_input_scale(InputClass::Grid2d), grid2d[level]);
+  }
+  for (const char* bad :
+       {"0.5", "0.4", "3", "7", "abc", "", "-1", " 1", "01"}) {
+    SCOPED_TRACE(std::string("REPRO_SCALE='") + bad + "'");
+    setenv("REPRO_SCALE", bad, 1);
+    try {
+      (void)repro_scale_level();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find("REPRO_SCALE"), std::string::npos)
+          << ex.what();
+    }
+    EXPECT_THROW((void)default_input_scale(InputClass::Rmat),
+                 std::invalid_argument);
+  }
+  if (ambient != nullptr) {
+    setenv("REPRO_SCALE", saved.c_str(), 1);
+  } else {
+    unsetenv("REPRO_SCALE");
   }
 }
 

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "bench_util/harness.hpp"
 #include "obs/counters.hpp"
@@ -54,6 +57,31 @@ TEST_F(HarnessCacheTest, SweepVerifiesAndCachesAcrossInstances) {
     ASSERT_FALSE(ms.empty());
     EXPECT_DOUBLE_EQ(ms.front().throughput_ges, first_throughput);
   }
+}
+
+TEST_F(HarnessCacheTest, KeyTagsTheParsedScaleLevel) {
+  {
+    // SetUp selects level 0: every journal key's fifth field is "0".
+    Harness h;
+    const Variant* v =
+        Registry::instance().select(Model::Cuda, Algorithm::TC).front();
+    (void)h.measure_one(*v, h.graphs().front(), nullptr, 1);
+  }
+  std::ifstream journal(cache_path_);
+  std::string line;
+  int keys = 0;
+  while (std::getline(journal, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream key(line.substr(0, line.find('\t')));
+    std::string field;
+    for (int i = 0; i < 5; ++i) std::getline(key, field, '|');
+    EXPECT_EQ(field, "0") << line;
+    ++keys;
+  }
+  EXPECT_EQ(keys, 1);
+  // A value outside 0|1|2 is rejected before any graph is generated.
+  setenv("REPRO_SCALE", "0.5", 1);
+  EXPECT_THROW(Harness h, std::invalid_argument);
 }
 
 TEST_F(HarnessCacheTest, StyleFilterNarrowsTheSweep) {

@@ -108,14 +108,14 @@ TEST(Racecheck, KernelBoundaryOrdersAccessesAcrossLaunches) {
 }
 
 TEST(Racecheck, AtomicRmwConflictsAreBenign) {
-  // Cross-block atomic_min hammering one cell: the non-deterministic RMW
+  // Cross-block fetch_min hammering one cell: the non-deterministic RMW
   // style (paper Listing 5b). Conflicts, all benign-atomic.
   const Report r = run_kernel([](vcuda::Device& dev) {
     std::vector<std::uint32_t> host(1, 1000000);
     auto arr = dev.array(std::span<std::uint32_t>(host));
     dev.launch(4, 32, [&](vcuda::Block& blk) {
       blk.for_each_thread(
-          [&](vcuda::Thread& t) { arr.atomic_min(t, 0, 1000 - t.gidx()); });
+          [&](vcuda::Thread& t) { arr.fetch_min(t, 0, 1000 - t.gidx()); });
     });
   });
   EXPECT_GT(r.conflicts_atomic, 0u);

@@ -27,7 +27,7 @@ TEST(VcudaExec, GlobalIndicesCoverTheGridExactlyOnce) {
       EXPECT_LT(t.thread_idx(), 256u);
       EXPECT_LT(t.block_idx(), 4u);
       EXPECT_EQ(t.gidx(), t.block_idx() * 256 + t.thread_idx());
-      arr.atomic_add(t, t.gidx(), 1u);
+      arr.fetch_add(t, t.gidx(), 1u);
     });
   });
   for (auto h : hits) EXPECT_EQ(h, 1u);
@@ -67,16 +67,17 @@ TEST(VcudaExec, AtomicsHaveFetchSemantics) {
   auto arr = dev.array(std::span<std::uint32_t>(x));
   dev.launch(1, 1, [&](Block& blk) {
     blk.for_each_thread([&](Thread& t) {
-      EXPECT_EQ(arr.atomic_min(t, 0, 7u), 10u);
-      EXPECT_EQ(arr.atomic_min(t, 0, 9u), 7u);
-      EXPECT_EQ(arr.atomic_max(t, 0, 12u), 7u);
-      EXPECT_EQ(arr.atomic_add(t, 0, 3u), 12u);
+      EXPECT_EQ(arr.fetch_min(t, 0, 7u), 10u);
+      EXPECT_EQ(arr.fetch_min(t, 0, 9u), 7u);
+      EXPECT_EQ(arr.fetch_max(t, 0, 12u), 7u);
+      EXPECT_EQ(arr.fetch_add(t, 0, 3u), 12u);
       EXPECT_EQ(arr.atomic_cas(t, 0, 15u, 99u), 15u);
       EXPECT_EQ(arr.ld(t, 0), 99u);
       EXPECT_EQ(arr.atomic_cas(t, 0, 15u, 1u), 99u);  // failed CAS
       EXPECT_EQ(arr.ld(t, 0), 99u);
-      EXPECT_EQ(arr.afetch_min(t, 0, 4u), 99u);  // cuda::atomic flavor
-      EXPECT_EQ(arr.ald(t, 0), 4u);
+      // cuda::atomic flavor.
+      EXPECT_EQ(arr.fetch_min<AccessKind::CudaAtomicRmw>(t, 0, 4u), 99u);
+      EXPECT_EQ(arr.ld<AccessKind::CudaAtomicLdSt>(t, 0), 4u);
     });
   });
 }
@@ -94,7 +95,7 @@ TEST(VcudaExec, ReduceAddSumsPerThreadValues) {
     const double total = blk.reduce_add(slots);
     EXPECT_DOUBLE_EQ(total, 8128.0);
     blk.for_each_thread([&](Thread& t) {
-      if (t.thread_idx() == 0) res.atomic_add(t, 0, total);
+      if (t.thread_idx() == 0) res.fetch_add(t, 0, total);
     });
   });
   EXPECT_DOUBLE_EQ(result[0], 2 * 8128.0);
@@ -250,7 +251,7 @@ TEST(VcudaModel, SameAddressAtomicsSerializeAcrossWarps) {
     auto arr = dev.array(std::span<std::uint32_t>(ctr));
     dev.launch(32, 256, [&](Block& blk) {
       blk.for_each_thread([&](Thread& t) {
-        arr.atomic_add(t, same_address ? 0 : t.gidx() % 4096, 1u);
+        arr.fetch_add(t, same_address ? 0 : t.gidx() % 4096, 1u);
       });
     });
     return dev.last_stats().hotspot_cycles_max;
@@ -266,7 +267,7 @@ TEST(VcudaModel, WarpAggregationCoalescesSameAddressAtomicsWithinWarp) {
   std::vector<std::uint32_t> ctr(1, 0);
   auto arr = dev.array(std::span<std::uint32_t>(ctr));
   dev.launch(1, 32, [&](Block& blk) {
-    blk.for_each_thread([&](Thread& t) { arr.atomic_add(t, 0, 1u); });
+    blk.for_each_thread([&](Thread& t) { arr.fetch_add(t, 0, 1u); });
   });
   // One warp, one address, one program point -> one serialization unit.
   EXPECT_NEAR(dev.last_stats().hotspot_cycles_max,
@@ -283,11 +284,11 @@ TEST(VcudaModel, DefaultCudaAtomicIsMuchSlowerThanClassic) {
       blk.for_each_thread([&](Thread& t) {
         const std::uint32_t i = t.gidx();
         if (cuda_atomic) {
-          (void)arr.ald(t, i);
-          (void)arr.afetch_min(t, i, i);
+          (void)arr.ld<AccessKind::CudaAtomicLdSt>(t, i);
+          (void)arr.fetch_min<AccessKind::CudaAtomicRmw>(t, i, i);
         } else {
           (void)arr.ld(t, i);
-          (void)arr.atomic_min(t, i, i);
+          (void)arr.fetch_min(t, i, i);
         }
       });
     });
@@ -307,7 +308,7 @@ TEST(VcudaModel, TitanVLikePaysMoreForCudaAtomicThanRtx3090Like) {
       dev.launch(16, 256, [&](Block& blk) {
         blk.for_each_thread([&](Thread& t) {
           if (cuda_atomic) {
-            (void)arr.ald(t, t.gidx());
+            (void)arr.ld<AccessKind::CudaAtomicLdSt>(t, t.gidx());
           } else {
             (void)arr.ld(t, t.gidx());
           }
@@ -371,7 +372,7 @@ TEST(VcudaObs, AtomicConflictsCountCrossWarpContentionNotPrivateReuse) {
   std::vector<std::uint32_t> ctr(1024, 0);
   auto arr_c = contended.array(std::span<std::uint32_t>(ctr));
   contended.launch(8, 32, [&](Block& blk) {
-    blk.for_each_thread([&](Thread& t) { arr_c.atomic_add(t, 0, 1u); });
+    blk.for_each_thread([&](Thread& t) { arr_c.fetch_add(t, 0, 1u); });
   });
   EXPECT_EQ(contended.last_stats().atomic_conflicts, 7u);
   EXPECT_EQ(contended.last_stats().atomic_ops, 8u);
@@ -383,7 +384,7 @@ TEST(VcudaObs, AtomicConflictsCountCrossWarpContentionNotPrivateReuse) {
   auto arr_r = reuse.array(std::span<std::uint32_t>(ctr));
   reuse.launch(1, 32, [&](Block& blk) {
     blk.for_each_thread([&](Thread& t) {
-      for (int k = 0; k < 16; ++k) arr_r.atomic_add(t, t.gidx(), 1u);
+      for (int k = 0; k < 16; ++k) arr_r.fetch_add(t, t.gidx(), 1u);
     });
   });
   EXPECT_EQ(reuse.last_stats().atomic_conflicts, 0u);
