@@ -79,8 +79,8 @@ std::string digest_line(const Variant& v, const Graph& g,
   }
 }
 
-/// Degree-boundary input for the one-round dispatch of non-persistent
-/// Warp/Block-granularity vertex kernels: hubs of degree 31/32/33 (around
+/// Degree-boundary input for the one-round dispatch of Warp/Block-
+/// granularity vertex kernels: hubs of degree 31/32/33 (around
 /// the warp stride) and 255/256/257 (around the block stride), each in its
 /// own warp-granularity block, plus one self-loop (which sends in-place
 /// styles down the multi-round path). A ring over the other vertices keeps
@@ -117,13 +117,13 @@ Graph boundary_input() {
 }
 
 /// The programs whose Warp/Block kernels dispatch on boundary_input's
-/// degrees: non-persistent vertex-flow relaxations and PR push.
+/// degrees: vertex-flow relaxations and PR push, non-persistent and
+/// persistent. Its 512 vertices exceed the rtx3090_like persistent Block
+/// grid (492 blocks), so blocks 0-19 (hubs 8 and 16 among them) get two
+/// items there; every other persistent group gets at most one.
 bool boundary_program(const Variant& v) {
   const StyleConfig& c = v.style;
-  if (c.flow != Flow::Vertex || c.pers != Persistence::NonPersistent ||
-      c.gran == Granularity::Thread) {
-    return false;
-  }
+  if (c.flow != Flow::Vertex || c.gran == Granularity::Thread) return false;
   return v.algo == Algorithm::BFS || v.algo == Algorithm::CC ||
          v.algo == Algorithm::SSSP ||
          (v.algo == Algorithm::PR && c.dir == Direction::Push);
