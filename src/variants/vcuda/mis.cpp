@@ -272,27 +272,18 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
             std::uint32_t gib = 0;
             const std::uint32_t item = warp_item(w, gib);
             if (item >= items) return;
+            // The item's vertex, state and CSR row are warp-uniform loads:
+            // no lane writes them in this region.
             const vcuda::WarpCtx::Mask all = w.full();
-            vcuda::LaneVec<std::uint32_t> vv, sv;
-            std::uint32_t v;
-            if constexpr (kData) {
-              w.for_lanes(all, [&](int l) { vv[l] = item; });
-              wl_in.ld_warp(w, all, vv.v, sv.v);
-              v = sv[0];
-            } else {
-              v = item;
-            }
-            w.for_lanes(all, [&](int l) { vv[l] = v; });
-            cur.ld_warp<K::kLd>(w, all, vv.v, sv.v);
-            if (sv[0] != kMisUndecided) return;  // warp-uniform guard
-            vcuda::LaneVec<std::uint32_t> beg, fin;
-            row.ld_warp(w, all, vv.v, beg.v);
-            w.for_lanes(all, [&](int l) { vv[l] = v + 1; });
-            row.ld_warp(w, all, vv.v, fin.v);
-            vcuda::LaneVec<std::uint32_t> e;
+            std::uint32_t v = item;
+            if constexpr (kData) v = wl_in.ld_warp_u(w, all, item);
+            if (cur.ld_warp_u<K::kLd>(w, all, v) != kMisUndecided) return;
+            const std::uint32_t beg = row.ld_warp_u(w, all, v);
+            const std::uint32_t end = row.ld_warp_u(w, all, v + 1);
+            vcuda::LaneVec<std::uint32_t> e, fin;
             w.for_lanes(all, [&](int l) {
-              e[l] = beg[l] +
-                     (kWarpG ? static_cast<std::uint32_t>(l) : w.tid(l));
+              e[l] = beg + (kWarpG ? static_cast<std::uint32_t>(l) : w.tid(l));
+              fin[l] = end;
             });
             const std::uint32_t stride = kWarpG ? kWS : w.block_dim();
             vcuda::LaneVec<std::uint32_t> u, su;
@@ -374,24 +365,15 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
               const std::uint32_t item = warp_item(w, gib);
               if (item >= items || entered[gib] == 0) return;
               const vcuda::WarpCtx::Mask all = w.full();
-              vcuda::LaneVec<std::uint32_t> vv, sv;
-              std::uint32_t v;
-              if constexpr (kData) {
-                w.for_lanes(all, [&](int l) { vv[l] = item; });
-                wl_in.ld_warp(w, all, vv.v, sv.v);
-                v = sv[0];
-              } else {
-                v = item;
-              }
-              w.for_lanes(all, [&](int l) { vv[l] = v; });
-              vcuda::LaneVec<std::uint32_t> beg, fin;
-              row.ld_warp(w, all, vv.v, beg.v);
-              w.for_lanes(all, [&](int l) { vv[l] = v + 1; });
-              row.ld_warp(w, all, vv.v, fin.v);
-              vcuda::LaneVec<std::uint32_t> e, u, outv;
+              std::uint32_t v = item;
+              if constexpr (kData) v = wl_in.ld_warp_u(w, all, item);
+              const std::uint32_t beg = row.ld_warp_u(w, all, v);
+              const std::uint32_t end = row.ld_warp_u(w, all, v + 1);
+              vcuda::LaneVec<std::uint32_t> e, fin, u, outv;
               w.for_lanes(all, [&](int l) {
-                e[l] = beg[l] +
+                e[l] = beg +
                        (kWarpG ? static_cast<std::uint32_t>(l) : w.tid(l));
+                fin[l] = end;
                 outv[l] = kMisOut;
               });
               const std::uint32_t stride = kWarpG ? kWS : w.block_dim();

@@ -112,17 +112,19 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
         });
       });
       // Kernel 2: scatter shares along edges (granularity under study).
-      // Warp/Block non-persistent blocks that one_round_block accepts run
-      // in lane-loop form: each lane adds at most one share, so the float
-      // atomic_adds of a warp form one batch, which fetch_add_warp applies
-      // in per-lane order. Everything else stays per-lane: there a
-      // lane's round-2 add and a sibling's round-1 add to the same vertex
-      // cross batches (thread granularity, persistent lanes, multi-round
-      // blocks), and batching would reorder a floating-point accumulation,
-      // which is not bit-identical (ULP drift) — and PR's verifier
-      // tolerance is exactly what bit-identity testing must not lean on.
-      constexpr bool kOneRound =
-          !kThreadG && C.pers == Persistence::NonPersistent;
+      // Warp/Block blocks that one_round_block accepts (persistent ones
+      // too, when each group gets at most one vertex) run in lane-loop
+      // form: each lane adds at most one share, so the float atomic_adds of
+      // a warp form one batch, which fetch_add_warp applies in per-lane
+      // order. A warp with no edge lane stops after its uniform loads.
+      // Everything else stays per-lane: there a lane's round-2 add and a
+      // sibling's round-1 add to the same vertex cross batches (thread
+      // granularity, persistent groups with two or more vertices,
+      // multi-round blocks), and batching would reorder a floating-point
+      // accumulation, which is not bit-identical (ULP drift) — and PR's
+      // verifier tolerance is exactly what bit-identity testing must not
+      // lean on.
+      constexpr bool kOneRound = !kThreadG;
       auto scatter_warp = [&](vcuda::WarpCtx& w, std::uint32_t v,
                               std::uint32_t off0) {
         const vcuda::WarpCtx::Mask all = w.full();
@@ -134,6 +136,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
                             static_cast<float>(end - beg);
         const vcuda::WarpCtx::Mask me =
             w.mask_first(end - beg > off0 ? end - beg - off0 : 0);
+        if (me == 0) return;
         vcuda::LaneVec<std::uint32_t> ev{};
         vcuda::LaneVec<float> sharev{};
         w.for_lanes(me, [&](int l) {
@@ -147,9 +150,9 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
       const std::uint32_t grid1 = grid_for<C.gran, C.pers>(dev, n);
       dev.launch(grid1, kBD, [&](vcuda::Block& blk) {
         if constexpr (kOneRound) {
-          if (run_one_round<C.gran>(blk, g, n, false,
-                                    [](std::uint32_t v) { return v; },
-                                    scatter_warp)) {
+          if (run_one_round<C.gran, C.pers>(blk, g, n, false,
+                                            [](std::uint32_t v) { return v; },
+                                            scatter_warp)) {
             return;
           }
         }
@@ -277,19 +280,15 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
                   batch * groups_total;
               if (group >= n) return;
               const vid_t v = group;
-              vcuda::LaneVec<std::uint32_t> vv;
-              w.for_lanes(all, [&](int l) { vv[l] = v; });
-              vcuda::LaneVec<std::uint32_t> begv, endv;
-              row.ld_warp(w, all, vv.v, begv.v);
-              w.for_lanes(all, [&](int l) { vv[l] = v + 1; });
-              row.ld_warp(w, all, vv.v, endv.v);
+              const std::uint32_t beg = row.ld_warp_u(w, all, v);
+              const std::uint32_t end = row.ld_warp_u(w, all, v + 1);
               vcuda::LaneVec<std::uint32_t> e, fin;
               vcuda::LaneVec<double> sum;
               w.for_lanes(all, [&](int l) {
                 const std::uint32_t off =
                     kWarpG ? static_cast<std::uint32_t>(l) : w.tid(l);
-                e[l] = begv[l] + off;
-                fin[l] = endv[l];
+                e[l] = beg + off;
+                fin[l] = end;
                 sum[l] = 0.0;
               });
               w.edge_walk(

@@ -261,7 +261,9 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
   // lane l owns at most the edge beg + off0 + l, so batch k below is every
   // lane's k-th op of `process`. The item's vertex, its CSR row and the
   // push side's source value are warp-uniform: no lane of the warp writes
-  // them.
+  // them. A warp with no edge lane (me == 0; 7 of the 8 warps of a
+  // Block-granularity item of degree <= 32) stops after those loads: every
+  // later batch would have an empty mask and record nothing.
   auto process_warp = [&](vcuda::WarpCtx& w, std::uint32_t raw_item,
                           std::uint32_t off0) {
     const Mask all = w.full();
@@ -277,6 +279,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       ev[l] = beg + off0 + static_cast<std::uint32_t>(l);
     });
     if constexpr (kPull) {
+      if (me == 0) return;
       col.ld_warp(w, me, ev.v, uv.v);
       cur.ld_warp<K::kLd>(w, me, uv.v, dv.v);
       const Mask m1 = w.where(me, [&](int l) { return dv[l] != kInfDist; });
@@ -289,7 +292,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       on_improve_w(w, update_w(w, m1, nxt, vv.v, ndv.v), vv.v);
     } else {
       const std::uint32_t dsrc = cur.ld_warp_u<K::kLd>(w, all, v);
-      if (dsrc == kInfDist) return;
+      if (dsrc == kInfDist || me == 0) return;
       col.ld_warp(w, me, ev.v, uv.v);
       wts.ld_warp(w, me, ev.v, wv.v);
       w.for_lanes(me, [&](int l) { ndv[l] = Problem::relax(dsrc, wv[l]); });
@@ -336,20 +339,20 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
     //    refinement, same-target crossings land in the single fetch_min
     //    batch (fetch_min_warp replays the per-lane lane order), and
     //    the changed-flag store is a conditional suffix;
-    //  - vertex flow, Warp/Block granularity, non-persistent, in every block
-    //    one_round_block accepts (each lane walks at most one edge; in-place
-    //    styles also need no self-loop): process_warp.
+    //  - vertex flow, Warp/Block granularity, in every block
+    //    one_round_block accepts (each group gets at most one item, the
+    //    persistent grid included, and each lane walks at most one edge;
+    //    in-place styles also need no self-loop): process_warp.
     // Everything else stays on for_each_thread: its lanes' op streams do
-    // not align batch by batch. Persistent lanes interleave across work
-    // items, thread granularity and multi-round blocks walk edge loops of
-    // different lengths per lane, and edge-flow data-driven or in-place
-    // styles read values sibling lanes write in the same region — for all
-    // of those the scrambled per-lane order *is* the semantics the model
-    // is calibrated for.
+    // not align batch by batch. Persistent lanes that get two or more items
+    // interleave across them, thread granularity and multi-round blocks
+    // walk edge loops of different lengths per lane, and edge-flow
+    // data-driven or in-place styles read values sibling lanes write in the
+    // same region — for all of those the scrambled per-lane order *is* the
+    // semantics the model is calibrated for.
     constexpr bool kProcLaneLoop = kEdge && !kData && kDet && !kRw &&
                                    C.pers == Persistence::NonPersistent;
-    constexpr bool kOneRound = !kEdge && C.gran != Granularity::Thread &&
-                               C.pers == Persistence::NonPersistent;
+    constexpr bool kOneRound = !kEdge && C.gran != Granularity::Thread;
     dev.launch(grid, kBD, [&](vcuda::Block& blk) {
       if constexpr (kProcLaneLoop) {
         blk.for_each_warp([&](vcuda::WarpCtx& w) {
@@ -389,8 +392,8 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
           if constexpr (kData) i = wl_in.raw()[i];
           return i;
         };
-        if (run_one_round<C.gran>(blk, g, items, !kDet, vertex_of,
-                                  process_warp)) {
+        if (run_one_round<C.gran, C.pers>(blk, g, items, !kDet, vertex_of,
+                                          process_warp)) {
           return;
         }
       }

@@ -147,27 +147,35 @@ void for_items_warp_gran(vcuda::WarpCtx& w, std::uint32_t items, Fn&& fn) {
   }
 }
 
-/// Dispatch rule of the one-round vertex kernels. A non-persistent
-/// Warp/Block-granularity launch of kBD-thread blocks gives block `bidx`
-/// the work items [bidx * groups, (bidx + 1) * groups) below `items`
-/// (groups = kBD / kWS warps for Warp, 1 for Block) and strides each
-/// item's edges across its group's lanes. The block is one-round when
+/// Dispatch rule of the one-round vertex kernels. A Warp/Block-granularity
+/// launch of `grid` kBD-thread blocks gives block `bidx` the work items
+/// [first, first + groups) below `items`, first = bidx * groups (groups =
+/// kBD / kWS warps for Warp, 1 for Block), and strides each item's edges
+/// across its group's lanes. A persistent launch hands each group its next
+/// item grid * groups later, so its block also needs first + grid * groups
+/// >= items: then every group gets at most that one item, the item the
+/// non-persistent launch gives it (a non-persistent grid covers every item
+/// once, so it always passes). The block is one-round when, in addition,
 /// every item's vertex (vertex_of(item)) has at most one edge per lane,
 /// deg <= kWS (Warp) or kBD (Block): then each lane's k-th op is its
-/// warp's k-th batch, and the lane-loop body (run_one_round)
-/// reproduces the per-lane engine's op groups, charges and old-value
-/// chains exactly. `in_place` styles (NonDet: one array read and
-/// written) also need no self-loop, whose write a sibling lane's read of
-/// the vertex's own value would see in per-lane order only. Reads the CSR
-/// on the host; records nothing.
-template <Granularity G, typename VertexOf>
-bool one_round_block(const Graph& g, std::uint32_t bidx, std::uint32_t items,
-                     bool in_place, VertexOf&& vertex_of) {
+/// warp's k-th batch, and the lane-loop body (run_one_round) reproduces the
+/// per-lane engine's op groups, charges and old-value chains exactly.
+/// `in_place` styles (NonDet: one array read and written) also need no
+/// self-loop, whose write a sibling lane's read of the vertex's own value
+/// would see in per-lane order only. Reads the CSR on the host; records
+/// nothing.
+template <Granularity G, Persistence P, typename VertexOf>
+bool one_round_block(const Graph& g, std::uint32_t bidx, std::uint32_t grid,
+                     std::uint32_t items, bool in_place,
+                     VertexOf&& vertex_of) {
   static_assert(G != Granularity::Thread,
                 "Thread granularity gives one lane a whole adjacency list");
   constexpr std::uint32_t kGroups = G == Granularity::Warp ? kBD / kWS : 1;
   constexpr std::uint32_t kStride = G == Granularity::Warp ? kWS : kBD;
   const std::uint64_t first = std::uint64_t{bidx} * kGroups;
+  if constexpr (P == Persistence::Persistent) {
+    if (first + std::uint64_t{grid} * kGroups < items) return false;
+  }
   const std::uint64_t last = std::min<std::uint64_t>(first + kGroups, items);
   for (std::uint64_t i = first; i < last; ++i) {
     const vid_t v = vertex_of(static_cast<std::uint32_t>(i));
@@ -177,18 +185,19 @@ bool one_round_block(const Graph& g, std::uint32_t bidx, std::uint32_t items,
 }
 
 /// Runs body(w, item, off0) for every work item of block `blk` of a
-/// non-persistent Warp/Block-granularity launch in lane-loop form (lane l
-/// takes the item's edge offset off0 + l) when one_round_block accepts the
-/// block, and returns whether it did; otherwise the caller runs the block's
-/// per-lane body.
-template <Granularity G, typename VertexOf, typename Body>
+/// Warp/Block-granularity launch in lane-loop form (lane l takes the item's
+/// edge offset off0 + l) when one_round_block accepts the block, and
+/// returns whether it did; otherwise the caller runs the block's per-lane
+/// body.
+template <Granularity G, Persistence P, typename VertexOf, typename Body>
 bool run_one_round(vcuda::Block& blk, const Graph& g, std::uint32_t items,
                    bool in_place, VertexOf&& vertex_of, Body&& body) {
-  if (!one_round_block<G>(g, blk.block_idx(), items, in_place, vertex_of)) {
+  if (!one_round_block<G, P>(g, blk.block_idx(), blk.grid_dim(), items,
+                             in_place, vertex_of)) {
     return false;
   }
   blk.for_each_warp([&](vcuda::WarpCtx& w) {
-    for_items_warp_gran<G, Persistence::NonPersistent>(
+    for_items_warp_gran<G, P>(
         w, items, [&](std::uint32_t i, std::uint32_t off0, std::uint32_t) {
           body(w, i, off0);
         });

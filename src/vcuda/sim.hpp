@@ -209,13 +209,15 @@ class WarpRecorder {
     op_index_ = 0;
     // Only the previous region's active lanes can hold nonzero cycles
     // (every charge site indexes below the region's lane population), so
-    // zeroing that prefix is enough; the array starts zero-initialized.
-    if (active_lanes_ > 0)
+    // zeroing that prefix is enough; the array starts zero-initialized. A
+    // clean region (see flush) left every lane at zero.
+    if (active_lanes_ > 0 && !clean())
       std::memset(lane_cycles_.data(), 0,
                   static_cast<std::size_t>(active_lanes_) * sizeof(double));
     fence_cycles_ = 0;
     lane_accesses_ = 0;
     active_lanes_ = 0;
+    charged_ = false;
   }
 
   void set_lane(int lane) {
@@ -240,7 +242,10 @@ class WarpRecorder {
   /// so they set it once instead of tracking a per-lane running max.
   void set_active_lanes(int lanes) { active_lanes_ = lanes; }
 
-  void charge(double cycles) { lane_cycles_[lane_] += cycles; }
+  void charge(double cycles) {
+    lane_cycles_[lane_] += cycles;
+    charged_ = true;
+  }
 
   /// Buffer bases are aligned down to the spec's transaction size before
   /// coalescing (cudaMalloc returns transaction-aligned pointers; host
@@ -296,6 +301,12 @@ class WarpRecorder {
   // charges lanes and fills arena groups a warp-batch at a time.
   friend class ::indigo::vcuda::WarpCtx;
 
+  /// The region so far recorded no access and took no charge: every lane
+  /// cycle, the fence pool and the arena are untouched. Every recording
+  /// path counts lane_accesses_; the charge-only paths (charge,
+  /// WarpCtx::work) set charged_.
+  [[nodiscard]] bool clean() const { return lane_accesses_ == 0 && !charged_; }
+
   void bind_spec(const DeviceSpec& spec);  // charge tables + arena stride
   void grow(std::size_t need);             // cold path: enlarge the arena
   void flush_groups(Device& dev);          // coalescing/atomic group walk
@@ -349,6 +360,7 @@ class WarpRecorder {
   std::array<double, 64> lane_cycles_{};  // supports warp_size <= 64
   double fence_cycles_ = 0;
   std::uint64_t lane_accesses_ = 0;  // per-lane accesses this region
+  bool charged_ = false;             // charge-only cycles this region
   int lane_ = 0;
   int active_lanes_ = 0;
   std::uint32_t owner_ = 0;  // launch-unique warp id, for conflict counting
@@ -575,6 +587,7 @@ class WarpCtx {
 
   /// Explicit per-lane ALU charge for the active lanes (Thread::work).
   void work(Mask m, double alu_ops) {
+    rec_.charged_ = true;
     if ((m & (m + 1)) == 0) {  // prefix mask: active lanes are [0, n)
       const int n = static_cast<int>(std::bit_width(m));
       for (int l = 0; l < n; ++l) rec_.lane_cycles_[l] += alu_ops;
@@ -1528,6 +1541,14 @@ inline void WarpRecorder::flush(Device& dev) {
   if (op_index_ > used_groups_) used_groups_ = op_index_;  // last lane's ops
   if (lane_accesses_ > 0) dev.add_lane_accesses(lane_accesses_);
   if (active_lanes_ == 0) return;
+  if (clean()) {
+    // Every lane is at zero, so the lockstep sums below are 0.0: the only
+    // add that changes a stat is the fixed overhead (0.0 + fixed), the
+    // others add +0.0 and there are no groups to walk. Warps with no work
+    // item (most of a persistent grid on a small input) take this path.
+    dev.add_compute_cycles(0.0 + spec_->warp_fixed_cycles);
+    return;
+  }
 
   // SIMT lockstep: the warp is as slow as its slowest lane, plus a fixed
   // scheduling overhead per warp-region. This is what makes thread-level
