@@ -3,9 +3,11 @@
 // One line per (program | graph | device): the raw bits of the modeled
 // seconds, the iteration count, the converged flag and an FNV-1a hash of
 // the output. A refactor of the interpreter or of a kernel cannot move any
-// modeled number of the study without this test noticing. A sixth,
-// hand-built boundary input pins both sides of the one-round dispatch of
-// the Warp/Block-granularity vertex kernels (see boundary_input below).
+// modeled number of the study without this test noticing. Two hand-built
+// inputs pin the engine dispatch of the Warp/Block-granularity vertex
+// kernels: boundary_input both sides of the one-round rule, and
+// hub_pairs_input the replayed edge-less warps of multi-item persistent
+// blocks.
 //
 // The digest detects changes; it is not an independent oracle. When a
 // change is meant to move modeled numbers, review the diff of the actual
@@ -116,6 +118,42 @@ Graph boundary_input() {
   return b.finish({.remove_self_loops = false, .remove_duplicates = true});
 }
 
+/// Multi-item persistent Block input: 1,024 vertices, so the rtx3090_like
+/// grid (492 blocks) gives every block two or three items and the
+/// titanv_like grid (640 blocks) gives blocks 0-383 two. Hubs of degree
+/// 33 and 64 sit in two-item blocks on both devices and put warp 1, but no
+/// later warp, on the edge side of their block; hubs of degree 225 and 256
+/// put all eight warps there. Vertices 110 (degree 48) and 602 (degree
+/// 240) share rtx3090_like block 110. Leaves form a ring, as in
+/// boundary_input.
+Graph hub_pairs_input() {
+  constexpr vid_t kN = 1024;
+  constexpr vid_t kHubs[] = {50, 60, 70, 80, 110, 602};
+  constexpr vid_t kHubDegree[] = {33, 64, 225, 256, 48, 240};
+  auto is_hub = [&](vid_t v) {
+    return std::find(std::begin(kHubs), std::end(kHubs), v) != std::end(kHubs);
+  };
+  std::vector<vid_t> leaves;
+  for (vid_t v = 0; v < kN; ++v) {
+    if (!is_hub(v)) leaves.push_back(v);
+  }
+  auto weight = [](vid_t u, vid_t v) {
+    return static_cast<weight_t>(1 + (u * 11 + v * 5) % 50);
+  };
+  GraphBuilder b(kN, "hubpairs-2e10");
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const vid_t u = leaves[i], v = leaves[(i + 1) % leaves.size()];
+    b.add_undirected(u, v, weight(std::min(u, v), std::max(u, v)));
+  }
+  for (std::size_t h = 0; h < std::size(kHubs); ++h) {
+    for (vid_t k = 0; k < kHubDegree[h]; ++k) {
+      const vid_t v = leaves[(h * 53 + k * 3) % leaves.size()];
+      b.add_undirected(kHubs[h], v, weight(kHubs[h], v));
+    }
+  }
+  return b.finish({.remove_duplicates = true});
+}
+
 /// The programs whose Warp/Block kernels dispatch on boundary_input's
 /// degrees: vertex-flow relaxations and PR push, non-persistent and
 /// persistent. Its 512 vertices exceed the rtx3090_like persistent Block
@@ -129,6 +167,11 @@ bool boundary_program(const Variant& v) {
          (v.algo == Algorithm::PR && c.dir == Direction::Push);
 }
 
+/// hub_pairs_input's programs: the Block-granularity subset of the above.
+bool hub_pairs_program(const Variant& v) {
+  return boundary_program(v) && v.style.gran == Granularity::Block;
+}
+
 /// The digest of the current build, sorted.
 std::vector<std::string> actual_digest() {
   variants::register_all_variants();
@@ -138,6 +181,7 @@ std::vector<std::string> actual_digest() {
       make_input(InputClass::Rmat, 8), make_input(InputClass::Social, 8),
       make_input(InputClass::RoadNet, 8)};
   const Graph boundary = boundary_input();
+  const Graph hub_pairs = hub_pairs_input();
   const std::vector<vcuda::DeviceSpec> devices = {vcuda::rtx3090_like(),
                                                   vcuda::titanv_like()};
   const auto cuda = Registry::instance().select(Model::Cuda, std::nullopt);
@@ -154,6 +198,9 @@ std::vector<std::string> actual_digest() {
     if (boundary_program(*v))
       for (const vcuda::DeviceSpec& d : devices)
         cells.push_back({v, &boundary, &d});
+    if (hub_pairs_program(*v))
+      for (const vcuda::DeviceSpec& d : devices)
+        cells.push_back({v, &hub_pairs, &d});
   }
 
   std::vector<std::string> lines(cells.size());
