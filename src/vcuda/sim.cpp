@@ -174,6 +174,59 @@ void WarpRecorder::flush_groups(Device& dev) {
   }
 }
 
+FlushCharge WarpRecorder::flush_charge() const {
+  // The values flush computes, from the same recorder state.
+  if (clean()) return {.compute = 0.0 + spec_->warp_fixed_cycles};
+  double max_lane;
+  double sum_lanes;
+  lockstep_sums(max_lane, sum_lanes);
+  return {.compute = max_lane + spec_->warp_fixed_cycles,
+          .useful = sum_lanes,
+          .lockstep = max_lane * active_lanes_,
+          .fence = fence_cycles_,
+          .clean = false};
+}
+
+void FlushCharge::add_to(Device& dev) const {
+  dev.add_compute_cycles(compute);
+  if (clean) return;
+  dev.add_simt_cycles(useful, lockstep);
+  dev.add_fence_cycles(fence);
+}
+
+bool AlikeWarps::replay_or_snapshot(Device& dev) {
+#ifdef NDEBUG
+  if (state_ == State::kCaptured) {
+    dev.add_transactions(charge_.transactions);
+    dev.add_mem_instructions(charge_.mem_instructions);
+    dev.add_lane_accesses(charge_.lane_accesses);
+    charge_.flush.add_to(dev);
+    return true;
+  }
+#endif
+  before_ = dev.launch_stats();
+  return false;
+}
+
+void AlikeWarps::settle(const Device& dev, const WarpRecorder& rec) {
+  const LaunchStats& after = dev.launch_stats();
+  // atomic_ops counts both chain units and block atomics.
+  const bool replayable = after.atomic_ops == before_.atomic_ops &&
+                          after.barriers == before_.barriers;
+  const RegionCharge c{
+      .transactions = after.transactions - before_.transactions,
+      .mem_instructions = after.mem_instructions - before_.mem_instructions,
+      .lane_accesses = after.lane_accesses - before_.lane_accesses,
+      .flush = rec.flush_charge()};
+  if (state_ == State::kUnseen) {
+    state_ = replayable ? State::kCaptured : State::kRefused;
+    charge_ = c;
+    return;
+  }
+  assert(replayable && c == charge_ &&
+         "an alike warp's accounting differs from the captured one");
+}
+
 }  // namespace detail
 
 // --- WarpCtx: per-batch accounting back ends ------------------------------
