@@ -13,11 +13,14 @@
 //
 // Run with INDIGO_TRACE=trace.json and/or INDIGO_METRICS=runs.jsonl to get
 // the exportable artifacts (per-launch spans; per-measurement records).
+#include <exception>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "bench_util/main.hpp"
+#include "bench_util/args.hpp"
 #include "bench_util/printing.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -25,18 +28,25 @@
 
 int main(int argc, char** argv) {
   using namespace indigo;
-  bench::MainOptions mo;
-  mo.id = "Obs report";
-  mo.title = "Section 5.5 push vs pull, explained by counters";
-  mo.paper_claim =
-      "Push-style SSSP updates neighbor labels and therefore accumulates "
-      "same-address atomic conflicts on RMAT hub vertices; pull-style "
-      "updates only the owned vertex and stays conflict-free.";
+  std::vector<std::string> rest;
+  const std::optional<bench::BenchArgs> args =
+      bench::parse_bench_args(argc, argv, rest);
+  if (!args || !rest.empty()) {
+    if (args) std::cerr << "bad argument: " << rest.front() << '\n';
+    std::cerr << "usage: obs_report [--model=M] [--algo=A] [--reps=N] "
+                 "[--workers=N]\n";
+    return 2;
+  }
   // Counters are the whole point here: force the layer on even when no
   // INDIGO_TRACE/INDIGO_METRICS export was requested.
-  mo.force_obs = true;
-  return bench::Main(argc, argv, mo, [](bench::Harness& h,
-                                        const bench::BenchArgs& args) {
+  obs::set_enabled(true);
+  bench::print_header(
+      "Obs report", "Section 5.5 push vs pull, explained by counters",
+      "Push-style SSSP updates neighbor labels and therefore accumulates "
+      "same-address atomic conflicts on RMAT hub vertices; pull-style "
+      "updates only the owned vertex and stays conflict-free.");
+  try {
+    bench::Harness h;
     const Graph* rmat = nullptr;
     for (const Graph& g : h.graphs()) {
       if (g.name().starts_with("rmat-")) rmat = &g;
@@ -70,9 +80,10 @@ int main(int argc, char** argv) {
     for (const auto& [key, push_v] : push_of) {
       const auto it = pull_of.find(key);
       if (it == pull_of.end()) continue;
-      const Measurement mp = h.measure_one(*push_v, *rmat, nullptr, args.reps);
+      const Measurement mp =
+          h.measure_one(*push_v, *rmat, nullptr, args->reps);
       const Measurement ml =
-          h.measure_one(*it->second, *rmat, nullptr, args.reps);
+          h.measure_one(*it->second, *rmat, nullptr, args->reps);
       if (!mp.verified || !ml.verified) continue;
       auto conflicts = [](const Measurement& m) {
         const auto c = m.metrics.find("vcuda.atomic_conflicts");
@@ -131,6 +142,9 @@ int main(int argc, char** argv) {
     if (!obs::metrics_path().empty()) {
       std::cout << "run records appended to " << obs::metrics_path() << '\n';
     }
-    return 0;
-  });
+  } catch (const std::exception& ex) {
+    std::cerr << "[error] " << ex.what() << '\n';
+    return 2;
+  }
+  return bench::exit_code();
 }

@@ -1,11 +1,11 @@
 // The whole reproduction as one sweep.
 //
 // sweep_all measures every selected (variant x graph) cell of the study
-// with one Harness::sweep call - the same job builder the figure benches
-// use - and then prints, from the returned measurements, the per-model
-// verification tally, the capacity model's peak footprint and the resume
-// accounting CI asserts on. Progress and an ETA stream to stderr while the
-// cells run.
+// with one Harness::sweep call - the same job builder bench/study's
+// figures use - and then prints, from the returned measurements, the
+// per-model verification tally, the capacity model's peak footprint and the
+// resume accounting CI asserts on. Progress and an ETA stream to stderr
+// while the cells run.
 //
 // The sweep is one process with N worker threads. The executor's exclusive
 // lane keeps every wall-clock (omp/cpp) measurement alone on the machine;
@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/args.hpp"
 #include "bench_util/harness.hpp"
-#include "bench_util/main.hpp"
 #include "bench_util/printing.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"

@@ -29,11 +29,18 @@ namespace {
 
 std::atomic<int> g_shape_failures{0};
 
-std::string make_key(const std::string& program, const std::string& graph,
-                     const std::string& device, int threads, int reps) {
+std::string device_name_of(const Variant& v, const vcuda::DeviceSpec* device) {
+  return v.model == Model::Cuda
+             ? (device != nullptr ? device->name : "rtx3090_like")
+             : "cpu";
+}
+
+/// The journal key of one measurement of `v` on `g`.
+std::string journal_key(const Variant& v, const Graph& g,
+                        const vcuda::DeviceSpec* device, int reps) {
   std::ostringstream os;
-  os << program << '|' << graph << '|' << device << '|' << threads << '|'
-     << repro_scale_level();
+  os << v.name << '|' << g.name() << '|' << device_name_of(v, device) << '|'
+     << cpu_threads() << '|' << repro_scale_level();
   // Instrumented runs carry counter payloads and must not shadow (or be
   // shadowed by) plain timing entries recorded without them.
   if (obs::enabled()) os << "|obs";
@@ -46,12 +53,6 @@ std::string make_key(const std::string& program, const std::string& graph,
   return os.str();
 }
 
-std::string device_name_of(const Variant& v, const vcuda::DeviceSpec* device) {
-  return v.model == Model::Cuda
-             ? (device != nullptr ? device->name : "rtx3090_like")
-             : "cpu";
-}
-
 /// The measurement journal's path: REPRO_CACHE, else "repro_cache.csv" in
 /// the working directory; an empty string keeps results in memory only.
 std::string env_journal_path() {
@@ -59,39 +60,34 @@ std::string env_journal_path() {
   return env != nullptr ? env : "repro_cache.csv";
 }
 
-/// Attempts after the first for a failing measurement
-/// (INDIGO_SCHED_RETRIES: a whole number >= 0, default 1). Anything else
-/// throws std::invalid_argument naming the variable.
-int env_retries() {
-  const char* env = std::getenv("INDIGO_SCHED_RETRIES");
-  if (env == nullptr) return 1;
+/// The number in environment variable `name` (`fallback` when unset): the
+/// whole value must parse and be finite and >= 0, else this throws
+/// std::invalid_argument naming the variable and `expected`.
+template <typename T>
+T env_number(const char* name, T fallback, const char* expected) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
   const std::string_view s(env);
-  int v = 0;
+  T v{};
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size() || v < 0) {
-    throw std::invalid_argument(
-        "INDIGO_SCHED_RETRIES must be a whole number >= 0, got \"" +
-        std::string(s) + '"');
+  if (ec != std::errc() || ptr != s.data() + s.size() || !std::isfinite(v) ||
+      v < 0) {
+    throw std::invalid_argument(std::string(name) + " must be " + expected +
+                                ", got \"" + std::string(s) + '"');
   }
   return v;
 }
 
-/// Per-attempt deadline in seconds (INDIGO_SCHED_TIMEOUT_S: a finite
-/// decimal >= 0, default 0 = none). Anything else throws
-/// std::invalid_argument naming the variable.
+/// Attempts after the first for a failing measurement
+/// (INDIGO_SCHED_RETRIES, default 1).
+int env_retries() {
+  return env_number("INDIGO_SCHED_RETRIES", 1, "a whole number >= 0");
+}
+
+/// Per-attempt deadline in seconds (INDIGO_SCHED_TIMEOUT_S, default 0 =
+/// none).
 double env_timeout_s() {
-  const char* env = std::getenv("INDIGO_SCHED_TIMEOUT_S");
-  if (env == nullptr) return 0;
-  const std::string_view s(env);
-  double v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size() || !std::isfinite(v) ||
-      v < 0) {
-    throw std::invalid_argument(
-        "INDIGO_SCHED_TIMEOUT_S must be a finite decimal >= 0, got \"" +
-        std::string(s) + '"');
-  }
-  return v;
+  return env_number("INDIGO_SCHED_TIMEOUT_S", 0.0, "a finite decimal >= 0");
 }
 
 /// Progress line for the executor's monitor thread. On a terminal the line
@@ -128,12 +124,6 @@ Harness::Harness() {
   verifiers_.resize(graphs_.size());
 }
 
-std::string Harness::key_for(const Variant& v, const Graph& g,
-                             const vcuda::DeviceSpec* device, int reps) const {
-  return make_key(v.name, g.name(), device_name_of(v, device), cpu_threads(),
-                  reps);
-}
-
 Verifier& Harness::verifier_for(const Graph& g) {
   for (std::size_t i = 0; i < graphs_.size(); ++i) {
     if (&graphs_[i] == &g) {
@@ -155,6 +145,17 @@ RunOptions Harness::base_run_options(const vcuda::DeviceSpec* device) const {
 }
 
 namespace {
+
+/// A Measurement of `v` on `g` that holds no result (yet).
+Measurement unmeasured(const Variant& v, const Graph& g) {
+  Measurement m;
+  m.program = v.name;
+  m.model = v.model;
+  m.algo = v.algo;
+  m.style = v.style;
+  m.graph = g.name();
+  return m;
+}
 
 /// One Measurement as a JSONL run record (docs/OBSERVABILITY.md schema).
 void export_measurement(const Measurement& m, const std::string& dev_name,
@@ -181,15 +182,9 @@ void export_measurement(const Measurement& m, const std::string& dev_name,
 Measurement Harness::measure_one(const Variant& v, const Graph& g,
                                  const vcuda::DeviceSpec* device, int reps) {
   const std::string dev_name = device_name_of(v, device);
-  const std::string key =
-      make_key(v.name, g.name(), dev_name, cpu_threads(), reps);
+  const std::string key = journal_key(v, g, device, reps);
   if (const auto e = store_->find(key)) {
-    Measurement m;
-    m.program = v.name;
-    m.model = v.model;
-    m.algo = v.algo;
-    m.style = v.style;
-    m.graph = g.name();
+    Measurement m = unmeasured(v, g);
     m.seconds = e->seconds;
     m.throughput_ges = e->throughput;
     m.iterations = e->iterations;
@@ -212,23 +207,13 @@ Measurement Harness::measure_one(const Variant& v, const Graph& g,
     // A modeled capacity rejection, not a code failure: record it as a
     // validity outcome. The metrics map is journaled, so the OOM survives
     // kill/resume and shows up in sweep summaries deterministically.
-    m.program = v.name;
-    m.model = v.model;
-    m.algo = v.algo;
-    m.style = v.style;
-    m.graph = g.name();
-    m.verified = false;
+    m = unmeasured(v, g);
     m.error = ex.what();
     m.metrics["validity.oom"] = 1.0;
     m.metrics["validity.oom_footprint_bytes"] =
         static_cast<double>(ex.footprint_bytes());
   } catch (const std::exception& ex) {
-    m.program = v.name;
-    m.model = v.model;
-    m.algo = v.algo;
-    m.style = v.style;
-    m.graph = g.name();
-    m.verified = false;
+    m = unmeasured(v, g);
     m.error = ex.what();
   }
   store_->put(key, {m.seconds, m.throughput_ges, m.iterations, m.verified,
@@ -272,7 +257,7 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   std::vector<sched::JobId> job_of(pairs.size(), sched::kInvalidJob);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const Pair& p = pairs[i];
-    if (store_->find(key_for(*p.v, *p.g, opts.device, opts.reps))) {
+    if (store_->find(journal_key(*p.v, *p.g, opts.device, opts.reps))) {
       ++stats.cache_hits;
       continue;
     }
@@ -329,13 +314,7 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
     ++stats.quarantined;
     const Pair& p = pairs[i];
     const sched::JobStatus& st = statuses[job_of[i]];
-    Measurement m;
-    m.program = p.v->name;
-    m.model = p.v->model;
-    m.algo = p.v->algo;
-    m.style = p.v->style;
-    m.graph = p.g->name();
-    m.verified = false;
+    Measurement m = unmeasured(*p.v, *p.g);
     m.error = "quarantined: " + st.error;
     const std::string dump = st.flight_dump.empty()
                                  ? std::string()
@@ -401,15 +380,6 @@ std::vector<stats::NamedSample> ratio_samples_by_algorithm(
   return samples;
 }
 
-std::vector<Measurement> verified_of_model(std::span<const Measurement> ms,
-                                           Model m) {
-  std::vector<Measurement> out;
-  for (const Measurement& x : ms) {
-    if (x.model == m && x.verified) out.push_back(x);
-  }
-  return out;
-}
-
 bool shape_check(const std::string& name, bool condition) {
   if (!condition) g_shape_failures.fetch_add(1, std::memory_order_relaxed);
   std::cout << (condition ? "[SHAPE PASS] " : "[SHAPE DIFF] ") << name
@@ -417,14 +387,8 @@ bool shape_check(const std::string& name, bool condition) {
   return condition;
 }
 
-int shape_check_failures() {
-  return g_shape_failures.load(std::memory_order_relaxed);
-}
-
-int exit_code() { return shape_check_failures() == 0 ? 0 : 1; }
-
-bool classic_atomics_only(const Variant& v) {
-  return v.style.alib == AtomicsLib::Classic;
+int exit_code() {
+  return g_shape_failures.load(std::memory_order_relaxed) == 0 ? 0 : 1;
 }
 
 }  // namespace indigo::bench

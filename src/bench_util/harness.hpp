@@ -1,11 +1,11 @@
-// Shared harness for the per-figure/table bench binaries.
+// Shared harness of the bench binaries.
 //
 // A Harness owns the five study inputs, runs (variant x graph) sweeps with
 // verification, and memoizes every measurement in a journaled result store
-// (src/sched/result_store.hpp) so the ~20 bench binaries can share one
-// full-suite sweep instead of re-running it. sweep() is the one place that
-// turns (variant x graph) cells into jobs; bench/sweep_all runs the whole
-// study through it. Sweeps execute through the sweep runtime (src/sched):
+// (src/sched/result_store.hpp) so every table and figure of bench/study can
+// share one full-suite sweep instead of re-running it. sweep() is the one
+// place that turns (variant x graph) cells into jobs; bench/sweep_all runs
+// the whole study through it. Sweeps execute through the sweep runtime (src/sched):
 // model-timed vcuda jobs run concurrently, taken in cell order from one
 // FIFO by a worker pool, while wall-clock CPU jobs serialize through the
 // exclusive lane, so parallelism never distorts a reported CPU time. A
@@ -98,10 +98,10 @@ class Harness {
   [[nodiscard]] RunOptions base_run_options(
       const vcuda::DeviceSpec* device) const;
 
- private:
-  std::string key_for(const Variant& v, const Graph& g,
-                      const vcuda::DeviceSpec* device, int reps) const;
+  /// The shared, thread-safe reference checker of one of graphs().
   Verifier& verifier_for(const Graph& g);
+
+ private:
 
   std::vector<Graph> graphs_;
   std::unique_ptr<sched::ResultStore> store_;
@@ -122,23 +122,13 @@ std::vector<stats::NamedSample> ratio_samples_by_algorithm(
     std::span<const Measurement> ms, std::span<const Algorithm> algos,
     Dimension d, int value_a, int value_b);
 
-/// Filters measurements to verified ones of one model.
-std::vector<Measurement> verified_of_model(std::span<const Measurement> ms,
-                                           Model m);
-
-/// Simple shape-check reporting: prints PASS/FAIL (to stdout) of a named
+/// Simple shape-check reporting: prints PASS/DIFF (to stdout) of a named
 /// expectation and returns whether it held. Failures also bump a
 /// process-wide counter so bench binaries can exit nonzero.
 bool shape_check(const std::string& name, bool condition);
 
-/// Number of shape_check calls that failed in this process.
-int shape_check_failures();
-
 /// Exit status for a bench main(): 0 when every shape check held, 1
 /// otherwise (so CI and scripts notice broken reproductions).
 int exit_code();
-
-/// Excludes the CudaAtomic codes, as the paper does after Section 5.1.
-bool classic_atomics_only(const Variant& v);
 
 }  // namespace indigo::bench

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -116,8 +115,6 @@ std::optional<std::pair<std::string, ResultEntry>> ResultStore::decode_line(
 }
 
 ResultStore::ResultStore(std::string path) : path_(std::move(path)) {
-  const char* env = std::getenv("INDIGO_SCHED_FSYNC");
-  fsync_ = env == nullptr || std::string(env) != "0";
   if (path_.empty()) return;
   bool torn = false;
   off_t keep = 0;  // journal length up to (not including) a torn tail
@@ -222,7 +219,7 @@ void ResultStore::append_line(const std::string& line) {
               << '\n';
     return;
   }
-  if (fsync_) ::fsync(fd_);
+  ::fsync(fd_);
 }
 
 bool ResultStore::checkpoint() {
@@ -238,7 +235,7 @@ bool ResultStore::checkpoint() {
   std::string buf = std::string(kHeader) + '\n';
   for (const auto& [key, e] : entries_) buf += encode_line(key, e);
   bool ok = write_all(tfd, buf.data(), buf.size());
-  if (ok && fsync_) ok = ::fsync(tfd) == 0;
+  if (ok) ok = ::fsync(tfd) == 0;
   ::close(tfd);
   if (!ok || ::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::cerr << "[warn] checkpoint of " << path_ << " failed: "
@@ -246,7 +243,7 @@ bool ResultStore::checkpoint() {
     ::unlink(tmp.c_str());
     return false;
   }
-  if (fsync_) fsync_parent_dir(path_);
+  fsync_parent_dir(path_);
   // The append descriptor still points at the replaced inode; reopen (and
   // re-take the writer lock, which lived on the old inode).
   if (fd_ >= 0) ::close(fd_);

@@ -5,8 +5,8 @@
 // durability discipline:
 //
 //   - Appends go through one kept-open O_APPEND descriptor and are
-//     fsync'd (INDIGO_SCHED_FSYNC=0 opts out), so a killed run can lose at
-//     most the entry being written, never corrupt earlier ones.
+//     fsync'd, so a killed run can lose at most the entry being written,
+//     never corrupt earlier ones.
 //   - Opening replays the journal; every replayed entry is a "journal hit"
 //     an interrupted sweep resumes from without re-executing anything.
 //   - A torn final line (kill mid-write) is skipped with a warning and the
@@ -96,8 +96,7 @@ class ResultStore {
   std::size_t journal_hits_ = 0;
   std::size_t appended_ = 0;
   std::size_t malformed_ = 0;
-  int fd_ = -1;      // kept-open append descriptor
-  bool fsync_ = true;
+  int fd_ = -1;  // kept-open append descriptor
 };
 
 }  // namespace indigo::sched

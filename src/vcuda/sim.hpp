@@ -247,17 +247,9 @@ class WarpRecorder {
     charged_ = false;
   }
 
-  void set_lane(int lane) {
-    lane_ = lane;
-    if (op_index_ > used_groups_) used_groups_ = op_index_;
-    op_index_ = 0;
-    if (lane + 1 > active_lanes_) active_lanes_ = lane + 1;
-  }
-
-  /// Per-lane cursor roll for callers that declared the lane population up
-  /// front via set_active_lanes (for_each_thread visits every lane of the
-  /// warp, so the running-max bookkeeping of set_lane is dead weight on a
-  /// loop that runs 32 times per region).
+  /// Per-lane cursor roll. The caller declares the region's lane
+  /// population up front via set_active_lanes (for_each_thread visits every
+  /// lane of the warp), so no per-lane running max is kept.
   void set_lane_counted(int lane) {
     lane_ = lane;
     if (op_index_ > used_groups_) used_groups_ = op_index_;
@@ -1150,8 +1142,7 @@ class Block {
       if (!alike || !alike_.replay_or_snapshot(dev_)) {
         rec_.begin(spec(), bidx_ * warps + w);
         // Every lane of the warp is visited below, so the region's lane
-        // population is known up front; declaring it here lets the
-        // per-lane call skip set_lane's running-max bookkeeping.
+        // population is known up front and declared once here.
         rec_.set_active_lanes(static_cast<int>(count));
         // Lanes also run in scrambled order: hardware lockstep means a
         // lane's reads happen before its siblings' same-instruction writes

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/args.hpp"
 #include "bench_util/harness.hpp"
-#include "bench_util/main.hpp"
 
 namespace indigo::bench {
 namespace {
@@ -122,16 +122,6 @@ TEST(RatioSamples, GroupsByAlgorithm) {
   EXPECT_DOUBLE_EQ(samples[1].values[0], 0.5);
 }
 
-TEST(VerifiedOfModel, Filters) {
-  StyleConfig c;
-  std::vector<Measurement> ms;
-  ms.push_back(fake(Model::Cuda, Algorithm::BFS, c, "g", 1.0));
-  ms.push_back(fake(Model::OpenMP, Algorithm::BFS, c, "g", 1.0));
-  ms.push_back(fake(Model::Cuda, Algorithm::BFS, c, "h", 1.0, false));
-  EXPECT_EQ(verified_of_model(ms, Model::Cuda).size(), 1u);
-  EXPECT_EQ(verified_of_model(ms, Model::OpenMP).size(), 1u);
-}
-
 /// argv-shaped view of `args` (argv[0] = "prog").
 struct Argv {
   explicit Argv(std::vector<std::string> args) : strs(std::move(args)) {
@@ -168,20 +158,6 @@ TEST(ParseBenchArgs, RejectsMalformedValues) {
     std::vector<std::string> rest;
     EXPECT_FALSE(parse_bench_args(a.argc(), a.argv(), rest).has_value())
         << bad;
-  }
-}
-
-TEST(BenchMain, MalformedOrUnknownArgumentExitsTwoWithoutRunningTheBody) {
-  for (const char* bad : {"--workers=abc", "--frobnicate"}) {
-    Argv a({bad});
-    bool ran = false;
-    const int rc = Main(a.argc(), a.argv(), MainOptions{},
-                        [&](Harness&, const BenchArgs&) {
-                          ran = true;
-                          return 0;
-                        });
-    EXPECT_EQ(rc, 2) << bad;
-    EXPECT_FALSE(ran) << bad;
   }
 }
 
