@@ -10,7 +10,7 @@
 #include "graph/generate.hpp"
 #include "threading/atomics.hpp"
 #include "threading/worklist.hpp"
-#include "variants/omp/omp_ops.hpp"
+#include "variants/cpu/models.hpp"
 #include "vcuda/device_spec.hpp"
 #include "vcuda/sim.hpp"
 
@@ -31,7 +31,7 @@ void BM_OmpCriticalMin(benchmark::State& state) {
   std::uint32_t x = 0xffffffffu;
   std::uint32_t v = 0xfffffffeu;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(variants::omp::critical_min(x, --v));
+    benchmark::DoNotOptimize(variants::cpu::Omp::fetch_min(x, --v));
   }
 }
 BENCHMARK(BM_OmpCriticalMin);
@@ -39,7 +39,7 @@ BENCHMARK(BM_OmpCriticalMin);
 void BM_OmpAtomicCaptureAdd(benchmark::State& state) {
   std::uint64_t x = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(variants::omp::atomic_capture_add(x, 1));
+    benchmark::DoNotOptimize(variants::cpu::Omp::fetch_add(x, 1));
   }
 }
 BENCHMARK(BM_OmpAtomicCaptureAdd);

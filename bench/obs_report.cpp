@@ -18,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util/args.hpp"
@@ -28,13 +29,20 @@
 
 int main(int argc, char** argv) {
   using namespace indigo;
+  // The report measures one fixed set of cuda SSSP pairs, so --reps is its
+  // only flag; parse_bench_args validates its value.
+  for (int i = 1; i < argc; ++i) {
+    if (!std::string_view(argv[i]).starts_with("--reps=")) {
+      std::cerr << "bad argument: " << argv[i] << '\n'
+                << "usage: obs_report [--reps=N]\n";
+      return 2;
+    }
+  }
   std::vector<std::string> rest;
   const std::optional<bench::BenchArgs> args =
       bench::parse_bench_args(argc, argv, rest);
-  if (!args || !rest.empty()) {
-    if (args) std::cerr << "bad argument: " << rest.front() << '\n';
-    std::cerr << "usage: obs_report [--model=M] [--algo=A] [--reps=N] "
-                 "[--workers=N]\n";
+  if (!args) {
+    std::cerr << "usage: obs_report [--reps=N]\n";
     return 2;
   }
   // Counters are the whole point here: force the layer on even when no

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,26 +54,32 @@ int main() {
       "non-deterministic styles race on purpose but only benignly "
       "(monotonic read-write, atomic RMW, duplicate-tolerant worklists).");
 
-  bench::Harness h;
   std::map<std::string, Tally> groups;
   std::size_t failed_runs = 0;
 
-  for (Model m : kAllModels) {
-    bench::SweepOptions sw;
-    sw.model = m;
-    sw.racecheck = true;
-    for (const Measurement& meas : h.sweep(sw)) {
-      if (!meas.verified) {
-        ++failed_runs;
-        continue;
+  try {
+    bench::Harness h;
+    for (Model m : kAllModels) {
+      bench::SweepOptions sw;
+      sw.model = m;
+      sw.racecheck = true;
+      for (const Measurement& meas : h.sweep(sw)) {
+        if (!meas.verified) {
+          ++failed_runs;
+          continue;
+        }
+        const bool has_det = dimension_applies(meas.model, meas.algo,
+                                               Dimension::Determinism);
+        const char* det = !has_det                             ? "nodim"
+                          : meas.style.det == Determinism::Det ? "det"
+                                                               : "nondet";
+        groups[std::string(to_string(m)) + "/" + det].add(meas);
       }
-      const bool has_det = dimension_applies(meas.model, meas.algo,
-                                             Dimension::Determinism);
-      const char* det = !has_det                                 ? "nodim"
-                        : meas.style.det == Determinism::Det     ? "det"
-                                                                 : "nondet";
-      groups[std::string(to_string(m)) + "/" + det].add(meas);
     }
+  } catch (const std::invalid_argument& ex) {
+    // A malformed REPRO_SCALE or INDIGO_SCHED_* value.
+    std::cerr << "[error] " << ex.what() << '\n';
+    return 2;
   }
 
   std::cout << "\nConflict classes per model/determinism group (totals over "

@@ -199,7 +199,7 @@ Measurement Harness::measure_one(const Variant& v, const Graph& g,
   try {
     m = measure(v, g, opts, reps, verifier_for(g));
     // An attempt that overran its deadline is not journaled, even when the
-    // run itself completed (CPU variants never check the deadline).
+    // run itself completed (CPU variants check it only between iterations).
     vcuda::throw_if_past_deadline();
   } catch (const vcuda::DeadlineError&) {
     throw;  // the executor records a timeout; a resumed sweep retries

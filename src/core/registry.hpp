@@ -2,7 +2,7 @@
 //
 // Each entry is one compiled program: an (algorithm, model, StyleConfig)
 // triple with a runnable entry point. The variant libraries
-// (src/variants/{omp,cppthreads,vcuda}) instantiate their kernel templates
+// (src/variants/{cpu,vcuda}) instantiate their kernel templates
 // for every StyleConfig that core/validity.hpp accepts and register them
 // here; everything downstream (tests, benches, examples) selects from this
 // registry. This mirrors the Indigo2 code generator plus its configuration

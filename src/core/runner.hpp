@@ -13,8 +13,6 @@
 
 namespace indigo {
 
-class ThreadTeam;
-
 /// Union of the six algorithms' outputs; which fields are meaningful
 /// depends on the algorithm:
 ///   CC   -> labels (component label per vertex)
@@ -34,7 +32,6 @@ struct RunOptions {
   vid_t source = 0;                            // BFS/SSSP root
   int num_threads = 0;                         // 0 = cpu_threads()
   const vcuda::DeviceSpec* device = nullptr;   // required for Model::Cuda
-  ThreadTeam* team = nullptr;                  // optional reusable team
   double pr_epsilon = 1e-6;                    // PR convergence threshold
   std::uint64_t max_iterations = 1u << 22;     // convergence guard
   /// Enable the dynamic race/determinism checker for this run (see

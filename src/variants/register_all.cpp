@@ -12,18 +12,14 @@ void register_all_variants() {
     // this runs before libgomp initializes because registration precedes
     // the first parallel region in every binary of this project.
     setenv("OMP_WAIT_POLICY", "passive", /*overwrite=*/0);
-    omp::register_omp_cc();
-    omp::register_omp_bfs();
-    omp::register_omp_sssp();
-    omp::register_omp_mis();
-    omp::register_omp_pr();
-    omp::register_omp_tc();
-    cpp::register_cpp_cc();
-    cpp::register_cpp_bfs();
-    cpp::register_cpp_sssp();
-    cpp::register_cpp_mis();
-    cpp::register_cpp_pr();
-    cpp::register_cpp_tc();
+    for (Model m : {Model::OpenMP, Model::CppThreads}) {
+      cpu::register_cc(m);
+      cpu::register_bfs(m);
+      cpu::register_sssp(m);
+      cpu::register_mis(m);
+      cpu::register_pr(m);
+      cpu::register_tc(m);
+    }
     vc::register_vcuda_cc();
     vc::register_vcuda_bfs();
     vc::register_vcuda_sssp();

@@ -3,25 +3,20 @@
 // the Indigo2 code generator over its full configuration.
 #pragma once
 
+#include "core/styles.hpp"
+
 namespace indigo::variants {
 
-namespace omp {
-void register_omp_cc();
-void register_omp_bfs();
-void register_omp_sssp();
-void register_omp_mis();
-void register_omp_pr();
-void register_omp_tc();
-}  // namespace omp
-
-namespace cpp {
-void register_cpp_cc();
-void register_cpp_bfs();
-void register_cpp_sssp();
-void register_cpp_mis();
-void register_cpp_pr();
-void register_cpp_tc();
-}  // namespace cpp
+/// One CPU model's programs per algorithm (src/variants/cpu); `m` is
+/// Model::OpenMP or Model::CppThreads.
+namespace cpu {
+void register_cc(Model m);
+void register_bfs(Model m);
+void register_sssp(Model m);
+void register_mis(Model m);
+void register_pr(Model m);
+void register_tc(Model m);
+}  // namespace cpu
 
 namespace vc {
 void register_vcuda_cc();

@@ -5,15 +5,19 @@
 // Section 4.1, promoted to a gtest parameterized suite.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "core/runner.hpp"
+#include "core/validity.hpp"
 #include "graph/generate.hpp"
 #include "variants/register_all.hpp"
 #include "vcuda/device_spec.hpp"
+#include "vcuda/sim.hpp"
 
 namespace indigo {
 namespace {
@@ -108,6 +112,54 @@ TEST(RegistryCensus, TotalsAreInThePapersBallpark) {
   EXPECT_EQ(reg.count(Model::Cuda, Algorithm::TC), 72u);
   EXPECT_EQ(reg.count(Model::OpenMP, Algorithm::PR), 18u);
   EXPECT_EQ(reg.count(Model::OpenMP, Algorithm::TC), 12u);
+}
+
+// Both CPU models are one kernel family over two policies: per algorithm
+// they register the same style sequence, differing only in the schedule
+// dimension each model owns.
+TEST(RegistryOrder, CpuModelsRegisterTheSameStyles) {
+  variants::register_all_variants();
+  std::map<Algorithm, std::vector<StyleConfig>> omp, cpp;
+  for (const Variant& v : Registry::instance().all()) {
+    if (v.model == Model::OpenMP) {
+      omp[v.algo].push_back(with_dimension(v.style, Dimension::OmpSched, 0));
+    } else if (v.model == Model::CppThreads) {
+      cpp[v.algo].push_back(with_dimension(v.style, Dimension::CppSched, 0));
+    }
+  }
+  for (Algorithm a : kAllAlgorithms) {
+    EXPECT_FALSE(omp[a].empty()) << to_string(a);
+    EXPECT_TRUE(omp[a] == cpp[a]) << to_string(a);
+  }
+}
+
+// Registration order is selection, job and print order: every OpenMP
+// program, then every C++ program, then every CUDA program.
+TEST(RegistryOrder, ModelsAreContiguousOmpThenCppThenCuda) {
+  variants::register_all_variants();
+  std::vector<Model> runs;
+  for (const Variant& v : Registry::instance().all()) {
+    if (runs.empty() || runs.back() != v.model) runs.push_back(v.model);
+  }
+  EXPECT_EQ(runs, (std::vector<Model>{Model::OpenMP, Model::CppThreads,
+                                      Model::Cuda}));
+}
+
+// A CPU cell polls its attempt's deadline once per iteration, so an
+// expired deadline stops it before it converges.
+TEST(CpuDeadline, ExpiredDeadlineStopsBfs) {
+  variants::register_all_variants();
+  const Graph& g = *test_inputs().front().graph;
+  RunOptions opts;
+  opts.num_threads = 2;
+  const vcuda::DeadlineScope expired(std::chrono::steady_clock::now() -
+                                     std::chrono::seconds(1));
+  for (Model m : {Model::OpenMP, Model::CppThreads}) {
+    const auto bfs = Registry::instance().select(m, Algorithm::BFS);
+    ASSERT_FALSE(bfs.empty());
+    EXPECT_THROW(bfs.front()->run(g, opts), vcuda::DeadlineError)
+        << bfs.front()->name;
+  }
 }
 
 }  // namespace
