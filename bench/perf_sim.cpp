@@ -12,6 +12,12 @@
 // word, and each *_warp accessor records a whole lane batch at once; see
 // WarpCtx in vcuda/sim.hpp).
 //
+// One more kernel times the per-lane engine (Block::for_each_thread, where
+// each lane runs to completion and the recorder groups the lanes' k-th
+// accesses): a thread-granularity TC merge walk, whose hub lanes record far
+// more accesses than their siblings. It is written to the JSON as
+// "per_lane_kernels", outside the gated "aggregate".
+//
 // Integrity check: every launch must record exactly the lane-level access
 // count the kernel's entry states analytically (LaunchStats::lane_accesses);
 // a mismatch means the kernel no longer performs the access sequence its
@@ -477,15 +483,65 @@ int main(int argc, char** argv) {
         });
       });
 
+  // --- TC merge walk, thread granularity, per-lane engine: thread u walks
+  // N(u) and, for every forward neighbour v > u, merges the parts of N(u)
+  // and N(v) above v (the vertex-thread TC kernel of variants/vcuda/tc.cpp).
+  // The walk is written once over its two loads, so the host replay that
+  // counts the accesses runs the identical sequence.
+  auto tc_walk = [n](vid_t u, auto&& row_at, auto&& col_at, auto&& work) {
+    if (u >= n) return;
+    const eid_t beg = row_at(u), end = row_at(u + 1);
+    for (eid_t e = beg; e < end; ++e) {
+      const vid_t v = col_at(e);
+      if (v <= u) continue;
+      eid_t iu = row_at(u), eu = row_at(u + 1);
+      eid_t iv = row_at(v), ev = row_at(v + 1);
+      vid_t a = 0, b = 0;
+      while (iu < eu && (a = col_at(iu)) <= v) ++iu;
+      while (iv < ev && (b = col_at(iv)) <= v) ++iv;
+      while (iu < eu && iv < ev) {
+        work();
+        if (a < b) {
+          if (++iu < eu) a = col_at(iu);
+        } else if (b < a) {
+          if (++iv < ev) b = col_at(iv);
+        } else {  // a common neighbour: a triangle
+          if (++iu < eu) a = col_at(iu);
+          if (++iv < ev) b = col_at(iv);
+        }
+      }
+    }
+  };
+  std::uint64_t tc_accesses = 0;
+  const auto counted = [&](const auto& arr) {
+    return [&](std::size_t i) {
+      ++tc_accesses;
+      return arr[i];
+    };
+  };
+  for (vid_t u = 0; u < n; ++u) {
+    tc_walk(u, counted(g.row_index()), counted(g.col_index()), [] {});
+  }
+  std::vector<KernelResult> per_lane_results;
+  per_lane_results.push_back(time_kernel(
+      "tc_merge_thread", spec, reps, tc_accesses, e,
+      [&](vcuda::Device& dev) {
+        auto row = dev.array(row_span);
+        auto col = dev.array(col_span);
+        dev.launch(grid_for(n), kBD, [&](vcuda::Block& blk) {
+          blk.for_each_thread([&](vcuda::Thread& t) {
+            tc_walk(
+                t.gidx(), [&](std::size_t i) { return row.ld(t, i); },
+                [&](std::size_t i) { return col.ld(t, i); },
+                [&] { t.work(2); });
+          });
+        });
+      }));
+
   std::printf("[perf_sim] %-16s %10s %14s\n", "kernel", "ns/access",
               "lane accesses");
-  double wall = 0;
-  std::uint64_t total_accesses = 0, total_edges = 0;
   bool access_mismatch = false;
-  for (const KernelResult& k : results) {
-    wall += k.wall_s;
-    total_accesses += k.accesses;
-    total_edges += k.sim_edges;
+  auto report = [&](const KernelResult& k) {
     std::printf("[perf_sim] %-16s %10.1f %14llu\n", k.name.c_str(),
                 k.ns_per_access, static_cast<unsigned long long>(k.lane_accesses));
     const std::uint64_t analytic = k.accesses / k.launches;
@@ -498,7 +554,17 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(analytic));
       access_mismatch = true;
     }
+  };
+  double wall = 0;
+  std::uint64_t total_accesses = 0, total_edges = 0;
+  for (const KernelResult& k : results) {
+    wall += k.wall_s;
+    total_accesses += k.accesses;
+    total_edges += k.sim_edges;
+    report(k);
   }
+  std::printf("[perf_sim] per-lane engine (not in the aggregate):\n");
+  for (const KernelResult& k : per_lane_results) report(k);
   const double agg_aps =
       wall > 0 ? static_cast<double>(total_accesses) / wall : 0;
   const double agg_eps =
@@ -513,6 +579,8 @@ int main(int argc, char** argv) {
        << ",\n  \"arcs\": " << e << ",\n  \"reps\": " << reps
        << ",\n  \"kernels\": [\n";
   emit_kernel_array(json, results);
+  json << "  ],\n  \"per_lane_kernels\": [\n";
+  emit_kernel_array(json, per_lane_results);
   // "aggregate" (the gated metric) must stay the LAST accesses_per_s key in
   // the file: the baseline reader takes the final occurrence.
   json << "  ],\n  \"aggregate\": {\"wall_s\": " << wall

@@ -173,8 +173,9 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
               });
         };
         if constexpr (C.gran == Granularity::Block) {
-          blk.for_each_thread(
-              region, first_edgeless_warp<C.pers>(blk, g, n, vertex_of));
+          const auto edges_of = [&](std::uint32_t v) { return g.degree(v); };
+          blk.for_each_thread(region,
+                              first_edgeless_warp<C.pers>(blk, n, edges_of));
         } else {
           blk.for_each_thread(region);
         }

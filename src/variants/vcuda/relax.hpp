@@ -409,8 +409,11 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
             });
       };
       if constexpr (kGran == Granularity::Block) {
-        blk.for_each_thread(
-            region, first_edgeless_warp<C.pers>(blk, g, items, vertex_of));
+        const auto edges_of = [&](std::uint32_t i) {
+          return g.degree(vertex_of(i));
+        };
+        blk.for_each_thread(region,
+                            first_edgeless_warp<C.pers>(blk, items, edges_of));
       } else {
         blk.for_each_thread(region);
       }

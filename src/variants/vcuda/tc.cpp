@@ -95,7 +95,7 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
     // the values it reads — sibling lanes' accesses cannot be grouped into
     // common SIMT batches without changing which accesses coalesce, i.e.
     // no lane-loop form is bit-identical (see docs/VCUDA_MODEL.md).
-    blk.for_each_thread([&](vcuda::Thread& t) {
+    auto region = [&](vcuda::Thread& t) {
       for_items<C.gran, C.pers>(
           t, items,
           [&](std::uint32_t i, std::uint32_t off, std::uint32_t stride) {
@@ -133,7 +133,24 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
               t.work(1);
             }
           });
-    });
+    };
+    if constexpr (C.gran == Granularity::Block) {
+      // A Block-granularity block replays its edge-less warps
+      // (first_edgeless_warp): the lanes stride over N(u), and the lanes of
+      // an arc with u >= v return after its two uniform loads.
+      const auto edges_of = [&](std::uint32_t i) {
+        if constexpr (kEdge) {
+          const vid_t u = g.src_list()[i], v = g.col_index()[i];
+          return u < v ? g.degree(u) : vid_t{0};
+        } else {
+          return g.degree(i);
+        }
+      };
+      blk.for_each_thread(region,
+                          first_edgeless_warp<C.pers>(blk, items, edges_of));
+    } else {
+      blk.for_each_thread(region);
+    }
     drain_reduction<kRed, std::uint64_t>(
         blk, slots, block_ctr[0], [&](vcuda::Thread& t, std::uint64_t total) {
           if (total != 0) count.fetch_add<K::kRmw>(t, 0, total);

@@ -184,26 +184,27 @@ bool one_round_block(const Graph& g, std::uint32_t bidx, std::uint32_t grid,
   return true;
 }
 
-/// The first edge-less warp of block `blk` of a Block-granularity vertex
-/// launch, the `alike_from` of its regions (Block::for_each_thread). Lane
-/// tid owns the edge offsets tid, tid + kBD, ... of each of the block's
-/// items, so warp w (tids kWS * w ...) gets no edge when every item's
-/// degree (of vertex_of(item)) is <= kWS * w. All such warps run the same
-/// op stream, each item's warp-uniform loads with the full mask, and write
-/// nothing, so the block interprets the first one it visits and replays it
-/// for the others. Reads the CSR on the host; records nothing.
-template <Persistence P, typename VertexOf>
-std::uint32_t first_edgeless_warp(const vcuda::Block& blk, const Graph& g,
-                                  std::uint32_t items, VertexOf&& vertex_of) {
+/// The first edge-less warp of block `blk` of a Block-granularity launch,
+/// the `alike_from` of its regions (Block::for_each_thread). Lane tid owns
+/// the strided edge offsets tid, tid + kBD, ... of each of the block's
+/// items, and an item has edges_of(item) of them (a vertex kernel's degree
+/// of the item's vertex), so warp w (tids kWS * w ...) gets no edge when
+/// every item has at most kWS * w. All such warps run the same op stream,
+/// each item's warp-uniform loads with the full mask, and write nothing,
+/// so the block interprets the first one it visits and replays it for the
+/// others. Reads the graph on the host; records nothing.
+template <Persistence P, typename EdgesOf>
+std::uint32_t first_edgeless_warp(const vcuda::Block& blk,
+                                  std::uint32_t items, EdgesOf&& edges_of) {
   // A non-persistent block owns item block_idx only.
   const std::uint64_t stride =
       P == Persistence::Persistent ? blk.grid_dim() : items;
-  std::uint64_t max_degree = 0;
+  std::uint64_t max_edges = 0;
   for (std::uint64_t i = blk.block_idx(); i < items; i += stride) {
-    max_degree = std::max<std::uint64_t>(
-        max_degree, g.degree(vertex_of(static_cast<std::uint32_t>(i))));
+    max_edges = std::max<std::uint64_t>(
+        max_edges, edges_of(static_cast<std::uint32_t>(i)));
   }
-  return static_cast<std::uint32_t>((max_degree + kWS - 1) / kWS);
+  return static_cast<std::uint32_t>((max_edges + kWS - 1) / kWS);
 }
 
 /// Runs body(w, item, off0) for every work item of block `blk` of a
@@ -225,7 +226,10 @@ bool run_one_round(vcuda::Block& blk, const Graph& g, std::uint32_t items,
         });
   };
   if constexpr (G == Granularity::Block) {
-    blk.for_each_warp(region, first_edgeless_warp<P>(blk, g, items, vertex_of));
+    const auto edges_of = [&](std::uint32_t i) {
+      return g.degree(vertex_of(i));
+    };
+    blk.for_each_warp(region, first_edgeless_warp<P>(blk, items, edges_of));
   } else {
     blk.for_each_warp(region);
   }
@@ -238,21 +242,27 @@ bool run_one_round(vcuda::Block& blk, const Graph& g, std::uint32_t items,
 /// block leader commits the block total through `commit(t, total)`.
 /// GlobalAdd styles have nothing to drain and this is a no-op. T is the
 /// accumulator type (double for PR residuals, uint64 for lossless triangle
-/// counts — Block::reduce_add charges identically for both).
+/// counts — Block::reduce_add charges identically for both). Only thread 0
+/// commits, so warps 1 and up of a commit region record nothing, charge
+/// nothing and write nothing: the block replays them.
 template <GpuReduction R, typename T, typename Commit>
 void drain_reduction(vcuda::Block& blk, std::span<T> slots, T& block_ctr,
                      Commit&& commit) {
   if constexpr (R == GpuReduction::BlockAdd) {
     blk.sync();
-    blk.for_each_thread([&](vcuda::Thread& t) {
-      if (t.thread_idx() == 0) commit(t, block_ctr);
-    });
+    blk.for_each_thread(
+        [&](vcuda::Thread& t) {
+          if (t.thread_idx() == 0) commit(t, block_ctr);
+        },
+        1);
   } else if constexpr (R == GpuReduction::ReductionAdd) {
     blk.sync();
     const T total = blk.reduce_add(slots);
-    blk.for_each_thread([&](vcuda::Thread& t) {
-      if (t.thread_idx() == 0) commit(t, total);
-    });
+    blk.for_each_thread(
+        [&](vcuda::Thread& t) {
+          if (t.thread_idx() == 0) commit(t, total);
+        },
+        1);
   }
 }
 

@@ -51,18 +51,10 @@ namespace detail {
 
 void WarpRecorder::bind_spec(const DeviceSpec& spec) {
   spec_ = &spec;
-  const auto ws = static_cast<std::size_t>(spec.warp_size);
   // Guaranteed by DeviceSpec::validate() at Device construction (which,
   // unlike this assert, is active in Release builds).
-  assert(ws >= 1 && ws <= lane_cycles_.size());
-  if (ws != stride_) {
-    // Arena layout is keyed to the warp size; a spec with a different one
-    // forces a re-layout (never on the hot path: one spec per Device).
-    stride_ = ws;
-    group_cap_ = 0;
-    addrs_.clear();
-    group_info_.clear();
-  }
+  assert(spec.warp_size >= 1 &&
+         static_cast<std::size_t>(spec.warp_size) <= lane_cycles_.size());
   line_shift_ = 63 - std::countl_zero(
                          static_cast<std::uint64_t>(spec.mem_transaction_bytes));
   base_mask_ =
@@ -86,19 +78,15 @@ void WarpRecorder::bind_spec(const DeviceSpec& spec) {
       spec.global_atomic_cycles * spec.cudaatomic_rmw_mult;
 }
 
-void WarpRecorder::grow(std::size_t need) {
-  std::size_t cap = group_cap_ == 0 ? 64 : group_cap_ * 2;
-  if (cap < need) cap = need;
-  // Group-major layout: growing appends whole groups, so existing offsets
-  // stay valid and the arena is reused across regions without clearing.
-  addrs_.resize(cap * stride_);
-  group_info_.resize(cap, 0);
-  group_cap_ = cap;
+void WarpRecorder::grow() {
+  // The log holds one word per access of the largest region so far; it is
+  // reused across regions without clearing.
+  log_.resize(log_.empty() ? kLogInitialWords : log_.size() * 2);
 }
 
 // Cold half of flush (the inline prefix in sim.hpp handles the per-region
 // lockstep accounting and only calls here when the region recorded
-// accesses, i.e. used_groups_ > 0).
+// accesses, i.e. log_size_ > 0).
 void WarpRecorder::flush_groups(Device& dev) {
   const DeviceSpec& spec = *spec_;
 
@@ -106,9 +94,9 @@ void WarpRecorder::flush_groups(Device& dev) {
   // form one SIMT memory instruction; they cost as many 128-byte
   // transactions as distinct segments they touch. A fully diverged warp
   // issues up to 32 transactions for 32 values (the paper's motivation for
-  // cyclic/coalesced GPU access, Section 2.12). record() already stored
-  // mem accesses as line values at [0, n_mem) and chain-atomic addresses
-  // at [stride_ - n_atomic, stride_) of each group (see sim.hpp).
+  // cyclic/coalesced GPU access, Section 2.12). Group g is word g of every
+  // lane run longer than g (see sim.hpp); its mem words are lines and its
+  // chain-atomic words tagged addresses.
 
   // Counting DISTINCT lines/addresses needs no sort:
   //  - mem accesses spanning a <=64-line window (every coalesced or
@@ -121,19 +109,19 @@ void WarpRecorder::flush_groups(Device& dev) {
   // Distinct-counts are order-independent, and within one group every
   // note_atomic_chain carries the same (unit, owner), so the order in which
   // a group's distinct addresses are noted does not change any double.
-  std::uint64_t distinct[64];
-  for (std::size_t gi = 0; gi < used_groups_; ++gi) {
-    const std::uint16_t info = group_info_[gi];
-    const int n_mem = info & 0x7f;
-    const int n_atomic = (info >> 7) & 0x7f;
-    const std::uint64_t* ga = addrs_.data() + gi * stride_;
+  const double rmw_unit =
+      spec.same_address_atomic_cycles * spec.cudaatomic_rmw_mult;
+  std::uint64_t distinct[kMaxLanes];
+  // One group: its mem lines and its chain addresses (tags stripped).
+  auto account = [&](const std::uint64_t* lines, int n_mem,
+                     const std::uint64_t* chain, int n_atomic, bool rmw) {
     if (n_mem > 0) {
       dev.add_mem_instructions(1);
-      std::uint64_t line_min = ga[0];
-      std::uint64_t line_max = ga[0];
+      std::uint64_t line_min = lines[0];
+      std::uint64_t line_max = lines[0];
       for (int i = 1; i < n_mem; ++i) {
-        line_min = std::min(line_min, ga[i]);
-        line_max = std::max(line_max, ga[i]);
+        line_min = std::min(line_min, lines[i]);
+        line_max = std::max(line_max, lines[i]);
       }
       const std::uint64_t width = line_max - line_min + 1;
       if (width == 1) {
@@ -143,35 +131,99 @@ void WarpRecorder::flush_groups(Device& dev) {
         // occupancy bitmap over the group's line window, then a popcount.
         std::uint64_t occupied = 0;
         for (int i = 0; i < n_mem; ++i) {
-          occupied |= std::uint64_t{1} << (ga[i] - line_min);
+          occupied |= std::uint64_t{1} << (lines[i] - line_min);
         }
         dev.add_transactions(
             static_cast<std::uint64_t>(std::popcount(occupied)));
       } else {
         dev.add_transactions(
-            static_cast<std::uint64_t>(dedup_into(ga, n_mem, distinct)));
+            static_cast<std::uint64_t>(dedup_into(lines, n_mem, distinct)));
       }
     }
     if (n_atomic > 0) {
-      const std::uint64_t* aa = ga + stride_ - n_atomic;
-      const double unit =
-          spec.same_address_atomic_cycles *
-          ((info & 0x8000) != 0 ? spec.cudaatomic_rmw_mult : 1.0);
+      const double unit = rmw ? rmw_unit : spec.same_address_atomic_cycles;
       bool a_uniform = true;
-      for (int i = 1; i < n_atomic; ++i) a_uniform &= aa[i] == aa[0];
+      for (int i = 1; i < n_atomic; ++i) a_uniform &= chain[i] == chain[0];
       if (a_uniform) {
         // Warp-uniform (the aggregated common case): one chain unit.
-        dev.note_atomic_chain(mix_addr(aa[0]), unit, owner_);
+        dev.note_atomic_chain(mix_addr(chain[0]), unit, owner_);
         dev.add_transactions(1);
       } else {
-        const int d = dedup_into(aa, n_atomic, distinct);
+        const int d = dedup_into(chain, n_atomic, distinct);
         for (int j = 0; j < d; ++j) {
           dev.note_atomic_chain(mix_addr(distinct[j]), unit, owner_);
         }
         dev.add_transactions(static_cast<std::uint64_t>(d));
       }
     }
+  };
+
+  const std::uint64_t* log = log_.data();
+  lane_start_[lanes_visited_] = log_size_;
+  // The lanes with words left, in visit order: next word and run end.
+  std::size_t cur[kMaxLanes];
+  std::size_t end[kMaxLanes];
+  int live = 0;
+  for (int j = 0; j < lanes_visited_; ++j) {
+    if (lane_start_[j] < lane_start_[j + 1]) {
+      cur[live] = lane_start_[j];
+      end[live] = lane_start_[j + 1];
+      ++live;
+    }
   }
+  std::uint64_t lines[kMaxLanes];
+  std::uint64_t chain[kMaxLanes];
+  constexpr std::uint64_t kTags = kAtomicTag | kCudaRmwTag;
+  while (live > 1) {
+    // The next `span` groups take one word from every live lane; then the
+    // shortest lanes run out and drop.
+    std::size_t span = end[0] - cur[0];
+    for (int i = 1; i < live; ++i) span = std::min(span, end[i] - cur[i]);
+    for (std::size_t k = 0; k < span; ++k) {
+      int n_mem = 0;
+      int n_atomic = 0;
+      std::uint64_t seen = 0;  // a line never has a tag bit set
+      for (int i = 0; i < live; ++i) {
+        const std::uint64_t w = log[cur[i] + k];
+        const int atomic = static_cast<int>(w >> 63);
+        lines[n_mem] = w;
+        chain[n_atomic] = w & ~kTags;
+        n_mem += 1 - atomic;
+        n_atomic += atomic;
+        seen |= w;
+      }
+      account(lines, n_mem, chain, n_atomic, (seen & kCudaRmwTag) != 0);
+    }
+    int kept = 0;
+    for (int i = 0; i < live; ++i) {
+      if (cur[i] + span < end[i]) {
+        cur[kept] = cur[i] + span;
+        end[kept] = end[i];
+        ++kept;
+      }
+    }
+    live = kept;
+  }
+  if (live == 0) return;
+  // One lane left (a hub lane outliving its siblings): each of its words is
+  // a one-access group, one instruction and one transaction for a mem
+  // word, one chain unit and one transaction for an atomic. The integer
+  // counts are added once for the whole tail; the chain units are noted in
+  // group order.
+  std::uint64_t n_mem = 0;
+  for (std::size_t k = cur[0]; k < end[0]; ++k) {
+    const std::uint64_t w = log[k];
+    if ((w & kAtomicTag) == 0) {
+      ++n_mem;
+    } else {
+      dev.note_atomic_chain(
+          mix_addr(w & ~kTags),
+          (w & kCudaRmwTag) != 0 ? rmw_unit : spec.same_address_atomic_cycles,
+          owner_);
+    }
+  }
+  dev.add_mem_instructions(n_mem);
+  dev.add_transactions(end[0] - cur[0]);
 }
 
 FlushCharge WarpRecorder::flush_charge() const {

@@ -214,26 +214,29 @@ struct RegionCharge {
 /// Per-warp recorder for the current region. Lane accesses are grouped by
 /// per-lane program-point index; aligned groups model one SIMT instruction.
 ///
-/// Storage is a flat group-major arena reused across regions: group g owns
-/// addrs_[g * stride_, (g + 1) * stride_), with mem accesses stored as
-/// transaction-line values from the front and chain-atomic addresses stored
-/// raw from the back (the packed counts live in group_info_[g]). A group
-/// holds at most one access per lane, so stride_ (= warp_size) bounds the
-/// two partitions combined. Recording an access is one store plus the
-/// table-driven charge adds — no per-access heap traffic, and every kind
-/// branch constant-folds at the inlined call sites. The per-kind charge
-/// tables hold exactly the sums the old per-kind switch charged, so the
-/// accumulated doubles are bit-identical.
+/// Storage is a lane-major append log reused across regions: each lane's
+/// accesses are one contiguous run of log words, in the order the region
+/// visits the lanes (set_lane_counted notes where each run starts). A mem
+/// access is stored as its transaction line, a chain atomic as its raw
+/// address tagged with kAtomicTag (and kCudaRmwTag for cuda::atomic RMWs).
+/// flush_groups rebuilds group g from word g of every run longer than g, so
+/// the log holds exactly one word per access however uneven the lanes are.
+/// Recording an access is one store plus the table-driven charge adds — no
+/// per-access heap traffic, and every kind branch constant-folds at the
+/// inlined call sites. The per-kind charge tables hold exactly the sums
+/// the old per-kind switch charged, so the accumulated doubles are
+/// bit-identical.
 class WarpRecorder {
  public:
+  /// Log words allocated by the first region that records an access; the
+  /// log doubles whenever a region outgrows it.
+  static constexpr std::size_t kLogInitialWords = 4096;
+
   void begin(const DeviceSpec& spec, std::uint32_t owner) {
     if (spec_ != &spec) bind_spec(spec);
     owner_ = owner;
-    // Only the groups the previous region touched have nonzero counts.
-    if (used_groups_ > 0)
-      std::memset(group_info_.data(), 0, used_groups_ * sizeof(std::uint16_t));
-    used_groups_ = 0;
-    op_index_ = 0;
+    log_size_ = 0;
+    lanes_visited_ = 0;
     // Only the previous region's active lanes can hold nonzero cycles
     // (every charge site indexes below the region's lane population), so
     // zeroing that prefix is enough; the array starts zero-initialized. A
@@ -247,13 +250,15 @@ class WarpRecorder {
     charged_ = false;
   }
 
-  /// Per-lane cursor roll. The caller declares the region's lane
-  /// population up front via set_active_lanes (for_each_thread visits every
-  /// lane of the warp), so no per-lane running max is kept.
+  /// Per-lane cursor roll: the lanes charged from here on are `lane`, and
+  /// its log run starts at the current end of the log. The caller declares
+  /// the region's lane population up front via set_active_lanes
+  /// (for_each_thread visits every lane of the warp once), so no per-lane
+  /// running max is kept.
   void set_lane_counted(int lane) {
     lane_ = lane;
-    if (op_index_ > used_groups_) used_groups_ = op_index_;
-    op_index_ = 0;
+    assert(lanes_visited_ < kMaxLanes && "more lanes than a warp has");
+    lane_start_[lanes_visited_++] = log_size_;
   }
 
   /// Lane-loop regions know their lane population up front (every lane of
@@ -279,25 +284,17 @@ class WarpRecorder {
   // call/ret plus runtime kind tests — measurably slower at sweep scale.
   [[gnu::always_inline]] void record(std::uint64_t addr, AccessKind kind) {
     ++lane_accesses_;
-    const std::size_t gi = op_index_++;
-    if (gi >= group_cap_) grow(gi + 1);
-    std::uint16_t& info = group_info_[gi];
+    if (log_size_ == log_.size()) grow();
     if (kind == AccessKind::Atomic || kind == AccessKind::CudaAtomicRmw) {
-      // Chain atomics keep their raw address (it is the chain identity)
-      // and fill the group's slots from the BACK, so no per-entry kind
-      // tag is needed: [0, mem_count) are line values, [stride_ -
-      // atomic_count, stride_) are atomic addresses. Partitioned storage
-      // preserves each group's multiset, and everything flush() computes
-      // per group (distinct counts, uniformity, the cudaatomic OR) is
-      // order-independent, so this is bit-identical to tagged storage.
-      addrs_[gi * stride_ + (stride_ - 1 - ((info >> 7) & 0x7f))] = addr;
-      info = static_cast<std::uint16_t>(info + 0x80);
-      if (kind == AccessKind::CudaAtomicRmw) info |= 0x8000;
+      // Chain atomics keep their raw address: it is the chain identity.
+      assert(addr < kCudaRmwTag && "recording address overlaps the kind tags");
+      log_[log_size_++] =
+          addr | kAtomicTag | (kind == AccessKind::CudaAtomicRmw ? kCudaRmwTag
+                                                                 : 0);
     } else {
       // Mem-like accesses only ever need their transaction line; shift
-      // here so flush() reads final values.
-      addrs_[gi * stride_ + (info & 0x7f)] = addr >> line_shift_;
-      info = static_cast<std::uint16_t>(info + 1);
+      // here so flush_groups reads final values.
+      log_[log_size_++] = addr >> line_shift_;
     }
     const auto k = static_cast<std::size_t>(kind);
     lane_cycles_[lane_] += lane_charge_[k];
@@ -321,11 +318,12 @@ class WarpRecorder {
 
  private:
   // WarpCtx is the lane-batched (de-SPMD) front end of this recorder: it
-  // charges lanes and fills arena groups a warp-batch at a time.
+  // charges lanes and accounts each warp batch as it is issued, without
+  // the log.
   friend class ::indigo::vcuda::WarpCtx;
 
   /// The region so far recorded no access and took no charge: every lane
-  /// cycle, the fence pool and the arena are untouched. Every recording
+  /// cycle, the fence pool and the log are untouched. Every recording
   /// path counts lane_accesses_; the charge-only paths (charge,
   /// WarpCtx::work) set charged_.
   [[nodiscard]] bool clean() const { return lane_accesses_ == 0 && !charged_; }
@@ -336,8 +334,8 @@ class WarpRecorder {
   /// warp loops keys on its size).
   [[gnu::always_inline]] void lockstep_sums(double& max_lane,
                                             double& sum_lanes) const;
-  void bind_spec(const DeviceSpec& spec);  // charge tables + arena stride
-  void grow(std::size_t need);             // cold path: enlarge the arena
+  void bind_spec(const DeviceSpec& spec);  // charge tables, line shift
+  void grow();                             // cold path: enlarge the log
   void flush_groups(Device& dev);          // coalescing/atomic group walk
   /// Exact first-occurrence dedup of n (<= warp_size) values via a
   /// generation-stamped open-addressing table: O(n) expected, no sort, no
@@ -366,21 +364,22 @@ class WarpRecorder {
 
   static constexpr std::size_t kKinds = 5;
   static constexpr std::size_t kStampSlots = 256;  // >= 4x max group size
+  // Log word tags of a chain atomic. Recording addresses (virtual device
+  // bases from 2^40, or host pointers) stay below both bits, and a
+  // transaction line is an address shifted right.
+  static constexpr std::uint64_t kAtomicTag = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kCudaRmwTag = std::uint64_t{1} << 62;
 
   const DeviceSpec* spec_ = nullptr;
-  // Group-major flat arena: group gi owns [gi*stride_, (gi+1)*stride_);
-  // mem lines fill it from the front, chain-atomic addresses from the back.
-  std::vector<std::uint64_t> addrs_;
-  // Packed per-group occupancy: bits 0-6 mem count, 7-13 atomic count,
-  // bit 15 = group saw a CudaAtomicRmw (both counts are <= stride_ <= 64,
-  // so the fields never carry into each other).
-  std::vector<std::uint16_t> group_info_;
-  std::size_t group_cap_ = 0;
-  std::size_t stride_ = 0;  // = warp_size while bound to a spec
-  int line_shift_ = 7;      // log2(mem_transaction_bytes), from bind_spec
+  // Lane-major append log: the visited lanes' runs, back to back. Visited
+  // lane j's run is [lane_start_[j], lane_start_[j + 1]), the last one
+  // ending at log_size_.
+  std::vector<std::uint64_t> log_;
+  std::size_t log_size_ = 0;
+  std::array<std::size_t, kMaxLanes + 1> lane_start_{};
+  int lanes_visited_ = 0;
+  int line_shift_ = 7;  // log2(mem_transaction_bytes), from bind_spec
   std::uint64_t base_mask_ = ~std::uint64_t{127};  // from bind_spec
-  std::size_t used_groups_ = 0;
-  std::size_t op_index_ = 0;
   std::array<double, kKinds> lane_charge_{};   // lane cycles per kind
   std::array<double, kKinds> fence_charge_{};  // fence cycles per kind
   std::array<std::uint64_t, kStampSlots> stamp_key_{};
@@ -1657,7 +1656,6 @@ namespace detail {
 // (flush_groups, sim.cpp) stays out of line and only runs when the region
 // recorded any accesses.
 inline void WarpRecorder::flush(Device& dev) {
-  if (op_index_ > used_groups_) used_groups_ = op_index_;  // last lane's ops
   if (lane_accesses_ > 0) dev.add_lane_accesses(lane_accesses_);
   if (active_lanes_ == 0) return;
   if (clean()) {
@@ -1680,7 +1678,7 @@ inline void WarpRecorder::flush(Device& dev) {
   dev.add_compute_cycles(max_lane + spec_->warp_fixed_cycles);
   dev.add_simt_cycles(sum_lanes, max_lane * active_lanes_);
   dev.add_fence_cycles(fence_cycles_);
-  if (used_groups_ > 0) flush_groups(dev);
+  if (log_size_ > 0) flush_groups(dev);
 }
 
 // Fixed-shape pairwise tree over the next power of two. A left fold here

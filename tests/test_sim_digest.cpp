@@ -7,7 +7,7 @@
 // inputs pin the engine dispatch of the Warp/Block-granularity vertex
 // kernels: boundary_input both sides of the one-round rule, and
 // hub_pairs_input the replayed edge-less warps of multi-item persistent
-// blocks.
+// blocks and of the TC Block kernels.
 //
 // The digest detects changes; it is not an independent oracle. When a
 // change is meant to move modeled numbers, review the diff of the actual
@@ -167,9 +167,12 @@ bool boundary_program(const Variant& v) {
          (v.algo == Algorithm::PR && c.dir == Direction::Push);
 }
 
-/// hub_pairs_input's programs: the Block-granularity subset of the above.
+/// hub_pairs_input's programs: the Block-granularity subset of the above,
+/// and every TC program, whose Block kernels replay the warps the hubs
+/// leave edge-less and whose thread lanes walk long, uneven merges.
 bool hub_pairs_program(const Variant& v) {
-  return boundary_program(v) && v.style.gran == Granularity::Block;
+  return (boundary_program(v) && v.style.gran == Granularity::Block) ||
+         v.algo == Algorithm::TC;
 }
 
 /// The digest of the current build, sorted.

@@ -353,6 +353,69 @@ TEST(SimGolden, BlockAtomicsAndReductions) {
   expect_matches(o.end_launch(), dev.last_stats());
 }
 
+TEST(SimGolden, UnevenLaneRunsMatchOracle) {
+  // Per-lane regions whose lanes record runs of very different lengths
+  // (WarpRecorder's lane-major log rebuilds group g from word g of every
+  // run longer than g). Lane 5 of every warp records more words than the
+  // log's initial capacity, loads with a sprinkling of both chain-atomic
+  // kinds, so its tail after the other lanes run out holds atomics too.
+  // Every other lane l records l % 4 accesses: the lanes l % 4 == 0 record
+  // nothing and sit between recording lanes in the scrambled visit order
+  // (0, 19, 6, 25, 12, 31, ... for a full warp). Access 2 is a Load, an
+  // Atomic or a CudaAtomicRmw on one address, by lane, so group 2 mixes
+  // the three. 48 threads per block end in a 16-lane tail warp. The second
+  // launch records short runs into the grown log.
+  Device dev(rtx3090_like());
+  Oracle o(dev.spec());
+  constexpr std::size_t kLong = detail::WarpRecorder::kLogInitialWords + 777;
+  std::vector<std::uint32_t> data(1u << 14, 1);
+  auto arr = dev.array(std::span<std::uint32_t>(data));
+  constexpr std::size_t kShared = 99;
+  for (const bool with_long : {true, false}) {
+    SCOPED_TRACE(with_long ? "long lane" : "short lanes");
+    dev.launch(3, 48, [&](Block& blk) {
+      o.region();
+      blk.for_each_thread([&](Thread& t) {
+        const int lane = t.lane();
+        if (lane == 5 && with_long) {
+          for (std::size_t k = 0; k < kLong; ++k) {
+            const std::size_t i = (t.gidx() * 13 + k * 37) % data.size();
+            if (k % 100 == 7) {
+              arr.fetch_add(t, i, 1u);
+              o.lane(t, arr, i, AccessKind::Atomic);
+            } else if (k % 150 == 11) {
+              arr.fetch_max<AccessKind::CudaAtomicRmw>(t, kShared, 5u);
+              o.lane(t, arr, kShared, AccessKind::CudaAtomicRmw);
+            } else {
+              (void)arr.ld(t, i);
+              o.lane(t, arr, i, AccessKind::Load);
+            }
+          }
+          return;
+        }
+        for (int k = 0; k < lane % 4; ++k) {
+          if (k == 2 && lane % 3 == 1) {
+            arr.fetch_add(t, kShared, 1u);
+            o.lane(t, arr, kShared, AccessKind::Atomic);
+          } else if (k == 2 && lane % 3 == 2) {
+            arr.fetch_add<AccessKind::CudaAtomicRmw>(t, kShared, 1u);
+            o.lane(t, arr, kShared, AccessKind::CudaAtomicRmw);
+          } else {
+            const std::size_t i =
+                k == 2 ? kShared : (t.gidx() * 97 + k * 1031) % data.size();
+            (void)arr.ld(t, i);
+            o.lane(t, arr, i, AccessKind::Load);
+          }
+          t.work(1);
+        }
+      });
+    });
+    const Oracle::Expect want = o.end_launch();
+    EXPECT_GT(want.atomic_ops, 0u);
+    expect_matches(want, dev.last_stats());
+  }
+}
+
 // --- lane-loop (de-SPMD) engine ---------------------------------------------
 // A kernel written once per lane (for_each_thread) and once per warp
 // (for_each_warp, batched WarpCtx recording) must model identically to the
@@ -988,7 +1051,6 @@ ReplayRun replay_run(const Graph& g, std::uint32_t grid, std::uint32_t items,
   auto row = dev.array(g.row_index());
   auto col = dev.array(g.col_index());
   auto dist = dev.array(std::span<std::uint32_t>(r.dist));
-  const auto id = [](std::uint32_t i) { return i; };
   auto per_lane = [&](Thread& t) {
     if (t.lane() == 0) ++r.warps_run;
     variants::vc::for_items<kBlock, P>(
@@ -1025,7 +1087,8 @@ ReplayRun replay_run(const Graph& g, std::uint32_t grid, std::uint32_t items,
         });
   };
   dev.launch(grid, variants::vc::kBD, [&](Block& blk) {
-    const std::uint32_t alike_from = first_edgeless_warp<P>(blk, g, items, id);
+    const std::uint32_t alike_from = first_edgeless_warp<P>(
+        blk, items, [&](std::uint32_t v) { return g.degree(v); });
     if (lane_loop) {
       if (bounded) {
         blk.for_each_warp(lane_loop_body, alike_from);
