@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the substrate primitives the study's
 // findings hinge on: the cost gap between CAS-loop atomics (C++) and
-// critical sections (OpenMP min/max), worklist pushes, reduction flavours,
-// vcuda launch/accounting overhead, and CSR traversal.
+// critical sections (OpenMP min/max), reduction flavours, vcuda
+// launch/accounting overhead, and CSR traversal.
 #include <benchmark/benchmark.h>
 #include <omp.h>
 
@@ -9,7 +9,6 @@
 
 #include "graph/generate.hpp"
 #include "threading/atomics.hpp"
-#include "threading/worklist.hpp"
 #include "variants/cpu/models.hpp"
 #include "vcuda/device_spec.hpp"
 #include "vcuda/sim.hpp"
@@ -54,15 +53,6 @@ void BM_MutexReduction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MutexReduction);
-
-void BM_WorklistPush(benchmark::State& state) {
-  Worklist wl(1 << 22);
-  for (auto _ : state) {
-    wl.push(7);
-    if (wl.size() >= (1u << 22) - 1) wl.clear();
-  }
-}
-BENCHMARK(BM_WorklistPush);
 
 void BM_CsrNeighborScan(benchmark::State& state) {
   const Graph g = make_rmat(static_cast<unsigned>(state.range(0)));

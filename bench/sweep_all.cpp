@@ -111,18 +111,10 @@ int main(int argc, char** argv) {
   // A sweep is long-lived and killable, so the telemetry plane is on by
   // default: the flight recorder captures what was in flight when a signal
   // lands, and the snapshot publisher keeps telemetry.json current. Both
-  // honor explicit env choices (INDIGO_FLIGHT=0 / INDIGO_TELEMETRY=0 keep
-  // them off; non-zero values were already applied by init_from_env).
-  // Default telemetry leaves the counter layer alone: obs::enabled() must
-  // stay measurement-driven (it changes journal keys and exec classes).
-  if (std::getenv("INDIGO_FLIGHT") == nullptr) {
-    obs::set_flight_enabled(true);
-  }
-  if (std::getenv("INDIGO_TELEMETRY") == nullptr) {
-    obs::TelemetryOptions topts;
-    topts.arm_counters = false;
-    obs::telemetry_start(std::move(topts));
-  }
+  // honor explicit env choices (INDIGO_FLIGHT / INDIGO_TELEMETRY set to 0
+  // or off keep them off).
+  obs::flight_init_from_env(/*unset_on=*/true);
+  obs::telemetry_init_from_env("telemetry.json");
 
   bench::print_header(
       "Sweep", "The full study as one fault-tolerant sweep",

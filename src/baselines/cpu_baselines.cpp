@@ -238,7 +238,7 @@ RunResult cpu_mis(const Graph& g, const RunOptions& opts) {
   std::vector<std::uint8_t> alive(n, 1), in_set(n, 0);
   std::uint64_t round = 0;
   std::uint64_t remaining = n;
-  while (remaining > 0 && round < opts.max_iterations) {
+  while (remaining > 0 && round < kMaxIterations) {
     ++round;
     std::uint64_t removed = 0;
 #pragma omp parallel for schedule(static) reduction(+ : removed)
@@ -301,7 +301,7 @@ RunResult cpu_pr(const Graph& g, const RunOptions& opts) {
   std::vector<float> contrib(n);
   std::uint64_t itr = 0;
   bool converged = false;
-  while (itr < opts.max_iterations) {
+  while (itr < kMaxIterations) {
     ++itr;
     double residual = 0.0;
 #pragma omp parallel for schedule(static)
@@ -320,7 +320,7 @@ RunResult cpu_pr(const Graph& g, const RunOptions& opts) {
       nxt[v] = fresh;
     }
     cur.swap(nxt);
-    if (residual < opts.pr_epsilon) {
+    if (residual < kPrEpsilon) {
       converged = true;
       break;
     }

@@ -88,7 +88,7 @@ RunResult gpu_sssp(const Graph& g, const RunOptions& opts) {
   std::uint64_t iterations = 0;
   while (true) {
     ++iterations;
-    if (iterations > opts.max_iterations) break;
+    if (iterations > kMaxIterations) break;
     flag_h[0] = 0;
     dev.launch(grid_of(n), kBD, [&](vcuda::Block& blk) {
       blk.for_each_thread([&](vcuda::Thread& t) {
@@ -133,7 +133,7 @@ RunResult gpu_cc(const Graph& g, const RunOptions& opts) {
   std::uint64_t iterations = 0;
   while (true) {
     ++iterations;
-    if (iterations > opts.max_iterations) break;
+    if (iterations > kMaxIterations) break;
     flag_h[0] = 0;
     dev.launch(grid_of(m), kBD, [&](vcuda::Block& blk) {
       blk.for_each_thread([&](vcuda::Thread& t) {
@@ -183,7 +183,7 @@ RunResult gpu_pr(const Graph& g, const RunOptions& opts) {
   auto res = dev.array(std::span<double>(res_h));
   std::uint64_t itr = 0;
   bool converged = false;
-  while (itr < opts.max_iterations) {
+  while (itr < kMaxIterations) {
     ++itr;
     res_h[0] = 0.0;
     dev.launch(grid_of(n), kBD, [&](vcuda::Block& blk) {
@@ -219,7 +219,7 @@ RunResult gpu_pr(const Graph& g, const RunOptions& opts) {
     });
     std::swap(cur, nxt);
     cur_h.swap(nxt_h);
-    if (res_h[0] < opts.pr_epsilon) {
+    if (res_h[0] < kPrEpsilon) {
       converged = true;
       break;
     }

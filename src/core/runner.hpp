@@ -27,25 +27,20 @@ struct AlgoOutput {
   std::uint64_t count = 0;
 };
 
-/// Per-run options shared by all variants.
+/// PR convergence threshold: the L1 residual below which every PageRank
+/// code (variants and baselines) stops. Defined in runner.cpp.
+extern const double kPrEpsilon;
+/// Convergence guard: the iteration count at which every iterative code
+/// gives up (RunResult::converged = false). Defined in runner.cpp.
+extern const std::uint64_t kMaxIterations;
+
+/// Per-run options shared by all variants. The race/determinism checker is
+/// not an option: a run is checked while racecheck::enabled() holds (see
+/// src/racecheck), which a sweep turns on around all its jobs.
 struct RunOptions {
   vid_t source = 0;                            // BFS/SSSP root
   int num_threads = 0;                         // 0 = cpu_threads()
   const vcuda::DeviceSpec* device = nullptr;   // required for Model::Cuda
-  double pr_epsilon = 1e-6;                    // PR convergence threshold
-  std::uint64_t max_iterations = 1u << 22;     // convergence guard
-  /// Enable the dynamic race/determinism checker for this run (see
-  /// src/racecheck): vcuda devices build shadow state, CPU runs audit the
-  /// synchronization discipline. Findings land in Measurement::metrics as
-  /// racecheck.* entries. Off by default — checking perturbs nothing when
-  /// off and only vcuda's simulated time stays exact when on.
-  bool racecheck = false;
-  /// ModelTimed rep deduplication: a vcuda run is deterministic, so reps
-  /// beyond the first would re-simulate identical work. When set, measure()
-  /// simulates once and replicates the sample across the requested reps
-  /// (per-rep metric averages use the real run count). WallClock (CPU)
-  /// models always execute every rep — only modeled time is dedupable.
-  bool dedup_model_reps = true;
   /// Data-driven relaxation variants size their worklists generously
   /// (2m + 2n + 1024 entries) and in practice never overflow. Tests set
   /// this to a small nonzero value to clamp the *logical* capacity below
@@ -60,7 +55,7 @@ struct RunResult {
   AlgoOutput output;
   double seconds = 0;        // wall time (CPU) or simulated time (vcuda)
   std::uint64_t iterations = 0;
-  bool converged = true;     // false if max_iterations was hit
+  bool converged = true;     // false if kMaxIterations was hit
 };
 
 /// Checks a variant's output against the serial references, computing the
@@ -103,13 +98,15 @@ struct Measurement {
   std::string error;
   /// Per-run observability counters (counter-name -> per-rep delta), filled
   /// only while the obs layer is enabled (INDIGO_TRACE / INDIGO_METRICS),
-  /// plus racecheck.* audit tallies when RunOptions::racecheck is on.
+  /// plus racecheck.* audit tallies while racecheck::enabled() holds.
   /// Cycle-valued counters are averages over reps, hence double.
   std::map<std::string, double> metrics;
 };
 
 /// Runs `v` on `g` `reps` times, medians the time, verifies the last
-/// output. `verifier` may be shared across calls for the same graph.
+/// output. A vcuda run is deterministic, so a Model::Cuda variant is
+/// simulated once and that time stands for every rep. `verifier` may be
+/// shared across calls for the same graph.
 Measurement measure(const Variant& v, const Graph& g, const RunOptions& opts,
                     int reps, Verifier& verifier);
 

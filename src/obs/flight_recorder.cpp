@@ -271,11 +271,10 @@ void set_flight_enabled(bool on) {
   g_flight.store(on, std::memory_order_relaxed);
 }
 
-void flight_init_from_env() {
-  if (const char* p = std::getenv("INDIGO_FLIGHT");
-      p != nullptr && *p != '\0' && std::string_view(p) != "0") {
-    set_flight_enabled(true);
-  }
+void flight_init_from_env(bool unset_on) {
+  const char* p = std::getenv("INDIGO_FLIGHT");
+  const std::string_view v = p != nullptr ? p : "";
+  if (v.empty() ? unset_on : v != "0" && v != "off") set_flight_enabled(true);
 }
 
 void flight_set_ring_capacity(std::size_t events) {

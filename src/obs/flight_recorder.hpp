@@ -37,9 +37,11 @@ bool flight_enabled();
 /// std::terminate handlers once per process and fixes the dump path.
 void set_flight_enabled(bool on);
 
-/// Reads INDIGO_FLIGHT (any non-empty value other than "0" arms the
-/// recorder). Called from obs::init_from_env(); idempotent.
-void flight_init_from_env();
+/// Reads INDIGO_FLIGHT and arms the recorder for any non-empty value other
+/// than "0" or "off"; unset or empty arms it iff `unset_on`. The only reader
+/// of INDIGO_FLIGHT: obs::init_from_env() calls it with false, and
+/// long-lived tools that record by default pass true. Idempotent.
+void flight_init_from_env(bool unset_on = false);
 
 /// Ring capacity in events per thread. Only affects rings created after the
 /// call (tests size it down to exercise wraparound); default 1024.

@@ -170,7 +170,6 @@ const std::string& process_trace_id() {
 
 void telemetry_start(TelemetryOptions opts) {
   TelemetryState& s = state();
-  if (opts.arm_counters) set_enabled(true);
   std::unique_lock lk(s.mu);
   s.opts = std::move(opts);
   s.configured = true;
@@ -206,18 +205,14 @@ bool telemetry_running() {
 bool telemetry_publish_now() {
   TelemetryState& s = state();
   std::string path;
-  bool prom = false;
   {
     std::lock_guard lk(s.mu);
     if (!s.configured) return false;
     path = s.opts.path;
-    prom = s.opts.prometheus;
   }
   if (path.empty()) return false;
   bool ok = write_file_atomic(path, telemetry_json() + "\n");
-  if (prom) {
-    ok = write_file_atomic(prom_path_of(path), prometheus_text()) && ok;
-  }
+  ok = write_file_atomic(prom_path_of(path), prometheus_text()) && ok;
   if (!ok) {
     std::cerr << "[obs] telemetry publish to " << path << " failed\n";
   }
@@ -265,11 +260,11 @@ void telemetry_unregister_section(const std::string& name) {
   s.sections.erase(name);
 }
 
-void telemetry_init_from_env() {
+void telemetry_init_from_env(std::string_view unset_path) {
+  if (telemetry_running()) return;
   const char* p = std::getenv("INDIGO_TELEMETRY");
-  if (p == nullptr || *p == '\0') return;
-  const std::string_view v(p);
-  if (v == "0" || v == "off") return;
+  const std::string_view v = p != nullptr && *p != '\0' ? p : unset_path;
+  if (v.empty() || v == "0" || v == "off") return;
   TelemetryOptions opts;
   opts.path = std::string(v);
   if (const char* i = std::getenv("INDIGO_TELEMETRY_INTERVAL_S");

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace indigo::obs {
 
@@ -25,19 +26,15 @@ namespace indigo::obs {
 /// first call.
 const std::string& process_trace_id();
 
+/// The publisher never arms the counter layer: obs::enabled() changes a
+/// sweep's journal keys and execution classes, so the counters field has
+/// content only when something else (INDIGO_TRACE, INDIGO_METRICS) armed it.
 struct TelemetryOptions {
   /// Snapshot path; the Prometheus exposition lands next to it with the
   /// extension swapped to ".prom".
   std::string path = "telemetry.json";
   /// Publisher cadence; clamped to >= 0.05.
   double interval_s = 1.0;
-  /// Also write the Prometheus text exposition on each publish.
-  bool prometheus = true;
-  /// Arm the obs counter layer (obs::set_enabled(true)) so the counters
-  /// field has content. Callers that must not perturb measurement semantics
-  /// (obs::enabled() changes the sweep's journal keys and execution
-  /// classes) set this false and publish sections + zeroed counters only.
-  bool arm_counters = true;
 };
 
 /// Starts the background publisher (idempotent: a second start replaces the
@@ -70,8 +67,11 @@ void telemetry_register_section(const std::string& name,
                                 std::function<std::string()> fn);
 void telemetry_unregister_section(const std::string& name);
 
-/// Reads INDIGO_TELEMETRY (snapshot path; "0"/"off" disables) and
-/// INDIGO_TELEMETRY_INTERVAL_S. Called from obs::init_from_env().
-void telemetry_init_from_env();
+/// Reads INDIGO_TELEMETRY (snapshot path; "0"/"off" disables; unset or empty
+/// means `unset_path`, where empty disables) and INDIGO_TELEMETRY_INTERVAL_S,
+/// and starts the publisher unless it is already running. The only reader
+/// of INDIGO_TELEMETRY: obs::init_from_env() calls it with no default, and
+/// long-lived tools that publish by default pass their path.
+void telemetry_init_from_env(std::string_view unset_path = {});
 
 }  // namespace indigo::obs

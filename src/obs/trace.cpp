@@ -219,11 +219,23 @@ std::uint64_t dropped_trace_events() {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  const std::vector<TraceEvent> events = trace_events();
+  std::vector<TraceEvent> events;
+  std::uint64_t dropped = 0;
+  {
+    TraceState& s = state();
+    std::lock_guard lock(s.mu);
+    events = s.events;
+    dropped = s.dropped;
+  }
   std::ofstream out(path);
   if (!out) {
     std::cerr << "[obs] cannot write trace file " << path << '\n';
     return false;
+  }
+  if (dropped > 0) {
+    std::cerr << "[obs] trace " << path << " is truncated: " << dropped
+              << " events dropped past the " << kMaxEvents
+              << "-event buffer\n";
   }
   // Records are stamped with the real pid and the stable process trace id
   // so traces of several runs (a killed sweep and its resume) merge without
@@ -257,7 +269,8 @@ bool write_chrome_trace(const std::string& path) {
   }
   out << "],\"pid\":" << pid << ",\"trace_id\":\""
       << json_escape(process_trace_id())
-      << "\",\"displayTimeUnit\":\"ms\"}\n";
+      << "\",\"dropped_events\":" << dropped
+      << ",\"displayTimeUnit\":\"ms\"}\n";
   return static_cast<bool>(out);
 }
 

@@ -86,10 +86,6 @@ class Span {
   std::vector<std::pair<std::string, std::string>> str_args_;
 };
 
-/// Alias that reads as "I only want the timing": a Span used purely for its
-/// constructor/destructor stamps.
-using ScopedTimer = Span;
-
 /// Microseconds since the process trace epoch (first obs use).
 double now_us();
 
@@ -100,8 +96,10 @@ void clear_trace_events();
 /// Events dropped because the in-memory buffer hit its cap.
 std::uint64_t dropped_trace_events();
 
-/// Writes all collected events as Chrome trace JSON. Returns false (and
-/// keeps the events) if the file cannot be written.
+/// Writes all collected events as Chrome trace JSON, with the count of
+/// events the capped buffer dropped as the top-level "dropped_events" (also
+/// reported on stderr when nonzero). Returns false (and keeps the events)
+/// if the file cannot be written.
 bool write_chrome_trace(const std::string& path);
 
 /// Minimal JSON object builder for export records (escapes strings,

@@ -201,20 +201,9 @@ void VcudaChecker::finalize() {
 
 namespace {
 
-std::atomic<std::uint64_t> g_cpu_epoch{0};
 thread_local bool t_in_worker = false;
 
 }  // namespace
-
-std::uint64_t cpu_region_epoch() {
-  return g_cpu_epoch.load(std::memory_order_relaxed);
-}
-
-void cpu_region_begin() {
-  g_cpu_epoch.fetch_add(1, std::memory_order_relaxed);
-}
-
-void cpu_region_end() {}
 
 bool cpu_in_worker() { return t_in_worker; }
 void cpu_set_in_worker(bool in) { t_in_worker = in; }

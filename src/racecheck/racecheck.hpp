@@ -15,9 +15,8 @@
 //    classified by the benign-race taxonomy below.
 //  * CPU models: real threads race for real, so the checker cannot observe
 //    individual accesses cheaply; instead it audits the synchronization
-//    *discipline* (ThreadTeam region nesting, Worklist cursor/clear usage)
-//    and defers instruction-level checking to the TSan build preset
-//    (INDIGO_TSAN, see docs/RACECHECK.md).
+//    *discipline* (ThreadTeam region nesting) and defers instruction-level
+//    checking to the TSan build preset (INDIGO_TSAN, see docs/RACECHECK.md).
 //
 // Everything is gated on enabled(): when off (the default), the hooks are a
 // single relaxed atomic load and no shadow state is allocated, so the
@@ -91,7 +90,7 @@ struct Report {
   std::uint64_t conflicts_harmful = 0;
 
   /// CPU-side synchronization-discipline violations (nested ThreadTeam
-  /// regions, Worklist misuse); see docs/RACECHECK.md.
+  /// regions); see docs/RACECHECK.md.
   std::uint64_t discipline_violations = 0;
 
   /// Distinct element addresses that ever entered the shadow map (info).
@@ -199,19 +198,10 @@ class VcudaChecker {
 };
 
 // ---------------------------------------------------------------------------
-// CPU-side discipline hooks (ThreadTeam / Worklist).
-
-/// Epoch counter advanced at every parallel-region fork; Worklist slot
-/// stamps use it to detect two pushes landing in one slot within a region.
-std::uint64_t cpu_region_epoch();
-
-/// ThreadTeam::run wraps the region in begin/end (only while enabled()).
-void cpu_region_begin();
-void cpu_region_end();
+// CPU-side discipline hooks (ThreadTeam).
 
 /// True while the calling thread is a ThreadTeam worker executing a job.
-/// Set by the team's worker loop; used to flag nested run() calls and
-/// Worklist::clear() from inside the region that may still be pushing.
+/// Set by the team's worker loop; used to flag nested run() calls.
 bool cpu_in_worker();
 void cpu_set_in_worker(bool in);
 

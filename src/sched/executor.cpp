@@ -24,6 +24,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Cadence of ExecutorOptions::on_progress, in seconds.
+constexpr double kProgressIntervalS = 0.5;
+
 /// Stable per-job trace id: FNV-1a of the job name, so the same job carries
 /// the same id across attempts, workers, processes, and resumed runs —
 /// obs_timeline and external trace mergers can join on it.
@@ -256,9 +259,8 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
     monitor = std::thread([this, &rs, n] {
       std::unique_lock lk(rs.mu);
       while (!rs.stop_monitor && rs.terminal < n) {
-        rs.done_cv.wait_for(
-            lk, std::chrono::duration<double>(
-                    std::max(0.05, opts_.progress_interval_s)));
+        rs.done_cv.wait_for(lk,
+                            std::chrono::duration<double>(kProgressIntervalS));
         if (rs.stop_monitor || rs.terminal >= n) break;
         const Progress p = rs.progress_locked();
         lk.unlock();

@@ -56,10 +56,9 @@ struct ExecutorOptions {
   /// >= 1; anything else throws std::invalid_argument), else
   /// max(1, min(hardware_concurrency, 8)).
   int num_workers = 0;
-  /// Invoked from a monitor thread roughly every progress_interval_s while
-  /// run() is active, and once more just before run() returns.
+  /// Invoked from a monitor thread about twice a second while run() is
+  /// active, and once more just before run() returns.
   std::function<void(const Progress&)> on_progress;
-  double progress_interval_s = 0.5;
 };
 
 class Executor {

@@ -1,8 +1,12 @@
 #include "threading/thread_team.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "obs/counters.hpp"
 #include "racecheck/racecheck.hpp"
@@ -36,8 +40,15 @@ void note_region(const std::vector<double>& busy_seconds) {
 
 int cpu_threads() {
   if (const char* env = std::getenv("REPRO_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return std::min(v, 256);
+    const std::string_view s(env);
+    int v = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || ptr != s.data() + s.size() || v < 1 || v > 256) {
+      throw std::invalid_argument(
+          "REPRO_THREADS must be a whole number in 1..256, got \"" +
+          std::string(s) + '"');
+    }
+    return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return std::max(2, static_cast<int>(std::min(hw, 8u)));
@@ -64,11 +75,10 @@ ThreadTeam::~ThreadTeam() {
 void ThreadTeam::run(const std::function<void(int, int)>& fn) {
   if (racecheck::enabled()) {
     // A worker re-entering run() would deadlock on the join; flag it as a
-    // synchronization-discipline violation before the epoch advances.
+    // synchronization-discipline violation.
     if (racecheck::cpu_in_worker()) {
       racecheck::cpu_note_violation("nested ThreadTeam::run from a worker");
     }
-    racecheck::cpu_region_begin();
   }
   std::unique_lock lock(mu_);
   job_ = &fn;
@@ -78,7 +88,6 @@ void ThreadTeam::run(const std::function<void(int, int)>& fn) {
   cv_start_.notify_all();
   cv_done_.wait(lock, [this] { return remaining_ == 0; });
   job_ = nullptr;
-  if (racecheck::enabled()) racecheck::cpu_region_end();
   if (first_error_) std::rethrow_exception(first_error_);
   // All workers are parked again, so busy_s_ is quiescent here.
   if (obs::enabled()) obs_detail::note_region(busy_s_);

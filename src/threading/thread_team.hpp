@@ -22,7 +22,9 @@ void note_region(const std::vector<double>& busy_seconds);
 
 /// Returns the worker count used by all CPU variants: the REPRO_THREADS
 /// environment variable if set, otherwise min(hardware_concurrency, 8),
-/// but at least 2 so every parallel style is genuinely exercised.
+/// but at least 2 so every parallel style is genuinely exercised. Throws
+/// std::invalid_argument naming the variable unless REPRO_THREADS is a
+/// whole number in 1..256.
 int cpu_threads();
 
 /// Fork/join worker team. run() executes fn(tid, num_threads) on every

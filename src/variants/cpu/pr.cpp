@@ -1,7 +1,7 @@
 // OpenMP and C++-threads PageRank variants.
 //
 // All variants iterate damped PageRank (d = 0.85) to the same fixpoint
-// (L1 residual below opts.pr_epsilon). The studied styles are pull vs push
+// (L1 residual below kPrEpsilon). The studied styles are pull vs push
 // data flow (push only exists in the deterministic two-array form, paper
 // Section 5.6), deterministic vs in-place non-deterministic iteration, the
 // three CPU reduction styles for the per-iteration residual sum
@@ -38,7 +38,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
 
   std::uint64_t itr = 0;
   bool converged = false;
-  while (itr < opts.max_iterations) {
+  while (itr < kMaxIterations) {
     ++itr;
     vcuda::throw_if_past_deadline();
     double residual = 0.0;
@@ -71,7 +71,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
       });
     }
     if constexpr (kDet) std::swap(cur, nxt);
-    if (residual < opts.pr_epsilon) {
+    if (residual < kPrEpsilon) {
       converged = true;
       break;
     }

@@ -173,7 +173,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
 
   while (true) {
     ++itr;
-    if (itr > opts.max_iterations) {
+    if (itr > kMaxIterations) {
       converged = false;
       break;
     }

@@ -83,7 +83,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
 
   while (true) {
     ++itr;
-    if (itr > opts.max_iterations) {
+    if (itr > kMaxIterations) {
       converged = false;
       break;
     }

@@ -95,7 +95,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
 
   std::uint64_t itr = 0;
   bool converged = false;
-  while (itr < opts.max_iterations) {
+  while (itr < kMaxIterations) {
     ++itr;
     res_h[0] = 0.0;
 
@@ -358,7 +358,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
     }
 
     if constexpr (kDet || kPush) std::swap(cur, nxt);
-    if (res_h[0] < opts.pr_epsilon) {
+    if (res_h[0] < kPrEpsilon) {
       converged = true;
       break;
     }

@@ -303,7 +303,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
   constexpr Granularity kGran = kEdge ? Granularity::Thread : C.gran;
   while (true) {
     ++itr;
-    if (itr > opts.max_iterations) {
+    if (itr > kMaxIterations) {
       converged = false;
       break;
     }

@@ -317,6 +317,9 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson) {
   EXPECT_TRUE(JsonChecker(text).valid()) << text;
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
+  // Nothing hit the buffer cap, and the file says so.
+  EXPECT_EQ(dropped_trace_events(), 0u);
+  EXPECT_NE(text.find("\"dropped_events\":0"), std::string::npos);
 }
 
 TEST_F(ObsTest, ConcurrentSpanExportKeepsPerThreadTidsAndValidJson) {

@@ -82,36 +82,6 @@ TEST(Measure, ProducesVerifiedThroughput) {
   EXPECT_EQ(m.graph, g.name());
 }
 
-TEST(Measure, EvenRepsMedianIsMidpointOfCentralPair) {
-  // Regression: times[size/2] picks the UPPER central element for even rep
-  // counts; with reps=2 alternating 1s/3s runs that reported 3.0, not 2.0.
-  const Graph g = make_grid2d(4);
-  Verifier ver(g, 0);
-  Variant v;
-  v.model = Model::Cuda;  // the Cuda path takes seconds from the RunResult
-  v.algo = Algorithm::CC;
-  v.name = "fake-cc-timed";
-  auto calls = std::make_shared<int>(0);
-  v.run = [calls](const Graph& gr, const RunOptions&) {
-    RunResult r;
-    r.output.labels = serial::cc(gr);
-    r.seconds = (++*calls % 2 == 1) ? 1.0 : 3.0;
-    r.iterations = 1;
-    return r;
-  };
-  RunOptions opts;
-  // This fake variant is intentionally non-deterministic across reps, so
-  // the model-rep dedup (which assumes determinism) must be disabled to
-  // exercise the multi-sample median.
-  opts.dedup_model_reps = false;
-  const Measurement even = measure(v, g, opts, 2, ver);
-  EXPECT_TRUE(even.verified) << even.error;
-  EXPECT_DOUBLE_EQ(even.seconds, 2.0);
-  *calls = 0;
-  const Measurement odd = measure(v, g, opts, 3, ver);
-  EXPECT_DOUBLE_EQ(odd.seconds, 1.0);  // sorted {1,1,3}: true middle
-}
-
 TEST(Measure, DedupModelRepsSimulatesOnce) {
   const Graph g = make_grid2d(4);
   Verifier ver(g, 0);
@@ -128,7 +98,7 @@ TEST(Measure, DedupModelRepsSimulatesOnce) {
     r.iterations = 1;
     return r;
   };
-  RunOptions opts;  // dedup_model_reps defaults to on
+  const RunOptions opts;
   const Measurement m = measure(v, g, opts, 5, ver);
   EXPECT_TRUE(m.verified) << m.error;
   EXPECT_EQ(*calls, 1);  // one simulation, sample replicated

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -241,7 +242,6 @@ TEST_F(TelemetryTest, PublisherWritesParseableSnapshotsAtomically) {
   opts.interval_s = 0.05;
   telemetry_start(opts);
   EXPECT_TRUE(telemetry_running());
-  EXPECT_TRUE(enabled());  // default arm_counters arms the layer
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   telemetry_stop();
   EXPECT_FALSE(telemetry_running());
@@ -262,16 +262,47 @@ TEST_F(TelemetryTest, PublisherWritesParseableSnapshotsAtomically) {
   std::remove((prom + ".tmp").c_str());
 }
 
-TEST_F(TelemetryTest, ArmCountersFalseLeavesTheCounterLayerAlone) {
-  ASSERT_FALSE(enabled());
+TEST_F(TelemetryTest, TelemetryStartLeavesTheCounterLayerAsItFoundIt) {
+  // obs::enabled() changes a sweep's journal keys and execution classes, so
+  // publishing must neither arm nor disarm it.
   TelemetryOptions opts;
   opts.path = "test_telemetry_unarmed.json";
-  opts.arm_counters = false;
-  opts.prometheus = false;
-  telemetry_start(opts);
-  EXPECT_FALSE(enabled());  // measurement semantics unperturbed
-  telemetry_stop();
+  for (const bool armed : {false, true}) {
+    set_enabled(armed);
+    telemetry_start(opts);
+    EXPECT_EQ(enabled(), armed);
+    telemetry_stop();
+    EXPECT_EQ(enabled(), armed);
+  }
   std::remove(opts.path.c_str());
+  std::remove("test_telemetry_unarmed.prom");
+}
+
+TEST_F(TelemetryTest, EnvSwitchesAcceptOffAndUnsetTakesTheDefault) {
+  // "0" and "off" keep a default-on tool's instruments off.
+  for (const char* off : {"0", "off"}) {
+    ::setenv("INDIGO_FLIGHT", off, 1);
+    ::setenv("INDIGO_TELEMETRY", off, 1);
+    set_flight_enabled(false);
+    flight_init_from_env(/*unset_on=*/true);
+    telemetry_init_from_env("test_telemetry_env.json");
+    EXPECT_FALSE(flight_enabled()) << off;
+    EXPECT_FALSE(telemetry_running()) << off;
+  }
+  ::unsetenv("INDIGO_FLIGHT");
+  ::unsetenv("INDIGO_TELEMETRY");
+  set_flight_enabled(false);
+  flight_init_from_env();
+  telemetry_init_from_env();
+  EXPECT_FALSE(flight_enabled());
+  EXPECT_FALSE(telemetry_running());
+  flight_init_from_env(/*unset_on=*/true);
+  telemetry_init_from_env("test_telemetry_env.json");
+  EXPECT_TRUE(flight_enabled());
+  EXPECT_TRUE(telemetry_running());
+  telemetry_stop();
+  std::remove("test_telemetry_env.json");
+  std::remove("test_telemetry_env.prom");
 }
 
 TEST_F(TelemetryTest, MultiThreadedTraceExportRoundTripsThroughTheReader) {

@@ -10,7 +10,6 @@
 #include "threading/atomics.hpp"
 #include "threading/schedule.hpp"
 #include "threading/thread_team.hpp"
-#include "threading/worklist.hpp"
 
 namespace indigo {
 namespace {
@@ -122,67 +121,6 @@ TEST(Atomics, FloatAddAccumulatesUnderContention) {
   });
   EXPECT_FLOAT_EQ(sum, 4000.0f);
 }
-
-TEST(Worklist, PushAndDrain) {
-  Worklist wl(100);
-  EXPECT_TRUE(wl.empty());
-  wl.push(3);
-  wl.push(5);
-  EXPECT_EQ(wl.size(), 2u);
-  EXPECT_EQ(wl[0], 3u);
-  EXPECT_EQ(wl[1], 5u);
-  wl.clear();
-  EXPECT_TRUE(wl.empty());
-}
-
-TEST(Worklist, ConcurrentPushesAreLossless) {
-  Worklist wl(4 * 2500);
-  ThreadTeam team(4);
-  team.run([&](int tid, int) {
-    for (int i = 0; i < 2500; ++i) {
-      wl.push(static_cast<vid_t>(tid * 2500 + i));
-    }
-  });
-  EXPECT_EQ(wl.size(), 10000u);
-  std::set<vid_t> seen(wl.view().begin(), wl.view().end());
-  EXPECT_EQ(seen.size(), 10000u);  // no lost or duplicated slots
-}
-
-TEST(Worklist, OverflowIsStickyNotFatal) {
-  // push() must never throw: it runs inside parallel regions where an
-  // exception is std::terminate (OpenMP) or a torn join (ThreadTeam).
-  Worklist wl(2);
-  EXPECT_TRUE(wl.push(1));
-  EXPECT_TRUE(wl.push(2));
-  EXPECT_FALSE(wl.push(3));  // dropped, flagged, no throw
-  EXPECT_FALSE(wl.push(4));
-  EXPECT_TRUE(wl.overflowed());
-  EXPECT_EQ(wl.size(), 2u);  // cursor excess never exposed to readers
-  const std::uint64_t before = worklist_overflow_count();
-  wl.clear();  // drain accounts the dropped pushes process-wide
-  EXPECT_FALSE(wl.overflowed());
-  EXPECT_EQ(worklist_overflow_count(), before + 2);
-}
-
-#ifndef __SANITIZE_THREAD__
-// The regression the sticky flag exists for: an overflow thrown from an
-// OpenMP parallel region would call std::terminate before this test could
-// observe anything. (Skipped under TSan: libgomp is not instrumented.)
-TEST(Worklist, OverflowInsideOpenMpRegionDoesNotTerminate) {
-  Worklist wl(8);
-#pragma omp parallel num_threads(4)
-  {
-#pragma omp for
-    for (int i = 0; i < 64; ++i) {
-      wl.push(static_cast<vid_t>(i));
-    }
-  }
-  EXPECT_TRUE(wl.overflowed());
-  EXPECT_EQ(wl.size(), 8u);
-  wl.clear();
-  EXPECT_TRUE(wl.empty());
-}
-#endif
 
 TEST(CpuThreads, RespectsEnvironmentOverride) {
   // cpu_threads() must be at least 2 so every style is really parallel.
