@@ -17,6 +17,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,6 +84,7 @@ int main(int argc, char** argv) {
 
     std::vector<std::string> row_labels;
     std::vector<std::vector<double>> cells;
+    std::vector<std::pair<Measurement, Measurement>> measured;
     int pairs = 0, push_heavier = 0;
     double push_total = 0, pull_total = 0;
     for (const auto& [key, push_v] : push_of) {
@@ -104,6 +106,7 @@ int main(int argc, char** argv) {
       pull_total += cl;
       row_labels.push_back(key);
       cells.push_back({cp, cl, mp.throughput_ges / ml.throughput_ges});
+      measured.emplace_back(mp, ml);
     }
 
     bench::print_matrix(
@@ -113,20 +116,31 @@ int main(int argc, char** argv) {
               << "; total conflicts push=" << push_total
               << " pull=" << pull_total << '\n';
 
-    // Distribution shape, not just extremes: the registry snapshot now
-    // carries log2-bucket percentiles for every recorded distribution.
-    {
-      const auto snap = obs::CounterRegistry::instance().snapshot();
-      std::cout << "\ndistribution percentiles (p50 / p95 / p99):\n";
-      for (const auto& [name, value] : snap) {
-        if (!name.ends_with(".p50")) continue;
-        const std::string stem = name.substr(0, name.size() - 4);
-        const auto p95 = snap.find(stem + ".p95");
-        const auto p99 = snap.find(stem + ".p99");
-        std::cout << "  " << stem << ": " << value << " / "
-                  << (p95 != snap.end() ? p95->second : 0.0) << " / "
-                  << (p99 != snap.end() ? p99->second : 0.0) << '\n';
+    // Distribution shape, not just extremes: each measurement's metrics
+    // carry log2-bucket percentiles of its own launches' distributions.
+    std::set<std::string> stems;
+    for (const auto& [mp, ml] : measured) {
+      for (const auto& [name, value] : mp.metrics) {
+        if (name.ends_with(".p50")) stems.insert(name.substr(0, name.size() - 4));
       }
+    }
+    for (const std::string& stem : stems) {
+      std::vector<std::vector<double>> pct;
+      for (const auto& [mp, ml] : measured) {
+        std::vector<double> row;
+        for (const Measurement* m : {&mp, &ml}) {
+          for (const char* q : {".p50", ".p95", ".p99"}) {
+            const auto it = m->metrics.find(stem + q);
+            row.push_back(it == m->metrics.end() ? 0.0 : it->second);
+          }
+        }
+        pct.push_back(std::move(row));
+      }
+      std::cout << "\n" << stem << " percentiles per pair:\n";
+      bench::print_matrix(row_labels,
+                          {"p50(push)", "p95(push)", "p99(push)", "p50(pull)",
+                           "p95(pull)", "p99(pull)"},
+                          pct, 2);
     }
 
     // Device-memory plane: the capacity model's peak footprint over the

@@ -34,6 +34,7 @@
 #include "bench_util/printing.hpp"
 #include "core/validity.hpp"
 #include "graph/properties.hpp"
+#include "obs/telemetry.hpp"
 #include "variants/register_all.hpp"
 #include "vcuda/device_spec.hpp"
 
@@ -1322,6 +1323,9 @@ int main(int argc, char** argv) {
     for (const Entry& e : kEntries) selected.push_back(&e);
   }
   try {
+    // Tables alone open no Harness, which would report a malformed
+    // INDIGO_TELEMETRY_INTERVAL_S; this call does.
+    obs::telemetry_init_from_env();
     // One Harness (the inputs and the journal) serves every figure; tables
     // alone open no journal.
     std::optional<bench::Harness> h;

@@ -114,7 +114,12 @@ int main(int argc, char** argv) {
   // honor explicit env choices (INDIGO_FLIGHT / INDIGO_TELEMETRY set to 0
   // or off keep them off).
   obs::flight_init_from_env(/*unset_on=*/true);
-  obs::telemetry_init_from_env("telemetry.json");
+  try {
+    obs::telemetry_init_from_env("telemetry.json");
+  } catch (const std::invalid_argument& ex) {  // INDIGO_TELEMETRY_INTERVAL_S
+    std::cerr << "[error] " << ex.what() << '\n';
+    return 2;
+  }
 
   bench::print_header(
       "Sweep", "The full study as one fault-tolerant sweep",

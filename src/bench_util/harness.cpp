@@ -16,6 +16,7 @@
 
 #include "graph/csr.hpp"
 #include "obs/counters.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "racecheck/racecheck.hpp"
 #include "sched/executor.hpp"
@@ -116,6 +117,7 @@ Harness::Harness() {
   (void)cpu_threads();  // a malformed REPRO_THREADS throws before any work
   variants::register_all_variants();
   obs::init_from_env();
+  obs::telemetry_init_from_env();  // throws on a malformed interval
   store_ = std::make_unique<sched::ResultStore>(env_journal_path());
   for (InputClass c : kAllInputs) {
     obs::Span span("generate_graph", "harness");
@@ -250,8 +252,8 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   out.reserve(pairs.size());
 
   // One job per pair missing from the journal. Model-timed vcuda jobs share
-  // the pool; wall-clock CPU jobs (and every job of an instrumented sweep,
-  // whose counter deltas must not interleave) take the exclusive lane.
+  // the pool, instrumented or not (each reads its own Devices' totals);
+  // wall-clock CPU jobs take the exclusive lane.
   sched::JobGraph jg;
   std::vector<std::optional<Measurement>> slots(pairs.size());
   std::vector<sched::JobId> job_of(pairs.size(), sched::kInvalidJob);
@@ -263,10 +265,8 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
     }
     sched::Job j;
     j.name = p.v->name + "@" + p.g->name();
-    j.exec_class =
-        p.v->model == Model::Cuda && !obs::enabled() && !racecheck::enabled()
-            ? sched::ExecClass::ModelTimed
-            : sched::ExecClass::WallClock;
+    j.exec_class = p.v->model == Model::Cuda ? sched::ExecClass::ModelTimed
+                                             : sched::ExecClass::WallClock;
     j.timeout_s = timeout_s;
     j.max_retries = retries;
     // Every attempt ends inside Executor::run, so the references into this

@@ -47,9 +47,9 @@ struct SweepOptions {
   /// executor's default (INDIGO_SCHED_WORKERS, else a small pool).
   int workers = 0;
   /// Run every measurement under the race/determinism checker (see
-  /// docs/RACECHECK.md). Checked jobs take the exclusive lane so their
-  /// global tallies never interleave, and their journal entries are keyed
-  /// separately ("|rc") from plain timing runs.
+  /// docs/RACECHECK.md). Checked jobs keep their execution class (each
+  /// cuda cell tallies its own Devices), and their journal entries are
+  /// keyed separately ("|rc") from plain timing runs.
   bool racecheck = false;
 };
 

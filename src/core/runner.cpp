@@ -11,6 +11,7 @@
 #include "obs/trace.hpp"
 #include "racecheck/racecheck.hpp"
 #include "stats/summary.hpp"
+#include "vcuda/sim.hpp"
 
 namespace indigo {
 
@@ -130,22 +131,27 @@ Measurement measure(const Variant& v, const Graph& g, const RunOptions& opts,
   m.style = v.style;
   m.graph = g.name();
 
+  // Instruments. A cuda run's come from the Devices it creates, which hand
+  // their totals and racecheck findings to `scope` as they are destroyed,
+  // so cuda measurements may share the pool. An omp/cpp run's are deltas
+  // of the process-wide counters and racecheck report; they stay exact
+  // because a WallClock job runs alone in the exclusive lane, which it
+  // needs for its timing anyway.
+  const bool cuda = v.model == Model::Cuda;
   const bool observe = obs::enabled();
+  const bool racecheck_on = racecheck::enabled();
   std::map<std::string, double> before;
-  if (observe) before = obs::CounterRegistry::instance().snapshot();
+  racecheck::Report rc_before;
+  if (!cuda && observe) before = obs::CounterRegistry::instance().snapshot();
+  if (!cuda && racecheck_on) rc_before = racecheck::global_report();
+  vcuda::MetricsScope scope;
   obs::Span span("measure", "harness");
   span.arg("program", v.name);
   span.arg("graph", g.name());
 
-  // Racecheck: a sweep turns the checker on around all its jobs. The shadow
-  // state lives inside the run; only its global tallies are sampled here.
-  const bool racecheck_on = racecheck::enabled();
-  racecheck::Report rc_before;
-  if (racecheck_on) rc_before = racecheck::global_report();
-
   // A vcuda run is deterministic: further reps would re-simulate identical
   // work, so one simulation stands for all of them (median unchanged).
-  const int runs = v.model == Model::Cuda ? 1 : std::max(1, reps);
+  const int runs = cuda ? 1 : std::max(1, reps);
   std::vector<double> times;
   RunResult last;
   for (int r = 0; r < runs; ++r) {
@@ -153,32 +159,36 @@ Measurement measure(const Variant& v, const Graph& g, const RunOptions& opts,
     last = v.run(g, opts);
     const auto t1 = std::chrono::steady_clock::now();
     // A vcuda variant reports its simulated time directly.
-    times.push_back(v.model == Model::Cuda
-                        ? last.seconds
-                        : std::chrono::duration<double>(t1 - t0).count());
+    times.push_back(cuda ? last.seconds
+                         : std::chrono::duration<double>(t1 - t0).count());
   }
   m.seconds = stats::median(times);
   m.iterations = last.iterations;
   // Metrics accumulate per executed run, so average over the runs.
   const double denom = runs;
   if (observe) {
-    m.metrics = obs::CounterRegistry::delta(
-        before, obs::CounterRegistry::instance().snapshot());
-    // Counters accumulated over every rep; report the per-run average.
-    // Distribution extremes (.min/.max) are run-final values, not sums.
-    for (auto& [key, value] : m.metrics) {
-      if (key.ends_with(".min") || key.ends_with(".max")) continue;
-      value /= denom;
+    if (cuda) {
+      m.metrics = scope.totals().metrics();
+    } else {
+      m.metrics = obs::CounterRegistry::delta(
+          before, obs::CounterRegistry::instance().snapshot());
+      // Counters accumulated over every rep; report the per-run average.
+      // Distribution extremes (.min/.max) are run-final values, not sums.
+      for (auto& [key, value] : m.metrics) {
+        if (key.ends_with(".min") || key.ends_with(".max")) continue;
+        value /= denom;
+      }
     }
     span.arg("seconds", m.seconds);
     span.arg("iterations", static_cast<double>(m.iterations));
   }
   if (racecheck_on) {
-    // Written directly (not through the obs counter snapshot) so the audit
-    // works with tracing off; per-rep averages like the obs counters.
-    const racecheck::Report rc_delta =
-        racecheck::diff(racecheck::global_report(), rc_before);
-    for (const auto& [key, value] : racecheck::metric_entries(rc_delta)) {
+    // Written directly (not through the obs counters) so the audit works
+    // with tracing off; per-rep averages like the obs counters.
+    const racecheck::Report rc =
+        cuda ? scope.racecheck_report()
+             : racecheck::diff(racecheck::global_report(), rc_before);
+    for (const auto& [key, value] : racecheck::metric_entries(rc)) {
       m.metrics[key] = value / denom;
     }
   }

@@ -51,6 +51,14 @@ double Distribution::Stats::percentile(double q) const {
   return max;
 }
 
+void Distribution::Stats::merge(const Stats& other) {
+  count += other.count;
+  sum += other.sum;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+  for (std::size_t b = 0; b < kBuckets; ++b) hist[b] += other.hist[b];
+}
+
 Distribution::Stats Distribution::stats() const {
   Stats out;
   for (const Shard& s : shards_) {
@@ -77,6 +85,18 @@ void Distribution::reset() {
                 std::memory_order_relaxed);
     for (auto& h : s.hist) h.store(0, std::memory_order_relaxed);
   }
+}
+
+void expand_stats(std::map<std::string, double>& out, const std::string& name,
+                  const Distribution::Stats& s) {
+  if (s.count == 0) return;
+  out[name + ".count"] = static_cast<double>(s.count);
+  out[name + ".sum"] = s.sum;
+  out[name + ".min"] = s.min;
+  out[name + ".max"] = s.max;
+  out[name + ".p50"] = s.percentile(0.50);
+  out[name + ".p95"] = s.percentile(0.95);
+  out[name + ".p99"] = s.percentile(0.99);
 }
 
 CounterRegistry& CounterRegistry::instance() {
@@ -115,17 +135,7 @@ std::map<std::string, double> CounterRegistry::snapshot() const {
     const std::uint64_t v = c->value();
     if (v != 0) out[name] = static_cast<double>(v);
   }
-  for (const auto& [name, d] : dists_) {
-    const Distribution::Stats s = d->stats();
-    if (s.count == 0) continue;
-    out[name + ".count"] = static_cast<double>(s.count);
-    out[name + ".sum"] = s.sum;
-    out[name + ".min"] = s.min;
-    out[name + ".max"] = s.max;
-    out[name + ".p50"] = s.percentile(0.50);
-    out[name + ".p95"] = s.percentile(0.95);
-    out[name + ".p99"] = s.percentile(0.99);
-  }
+  for (const auto& [name, d] : dists_) expand_stats(out, name, d->stats());
   return out;
 }
 

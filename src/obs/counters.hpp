@@ -2,8 +2,11 @@
 //
 // The simulator and the threading substrate already *compute* the quantities
 // the paper's mechanistic explanations rest on (transactions, divergence,
-// atomic conflicts, worker imbalance); this registry makes them first-class
-// so benches and tests can observe them. Two requirements drive the design:
+// atomic conflicts, worker imbalance); this registry makes the threading
+// substrate's and the scheduler's first-class so benches and tests can
+// observe them. The simulator's stay per Device (vcuda::DeviceTotals, built
+// on Distribution::Stats and expand_stats) so that each cuda measurement
+// reads only its own. Two requirements drive the design:
 //
 //   1. Zero cost when disabled. Every mutating entry point checks one
 //      relaxed atomic bool and returns; no allocation, no locking, nothing
@@ -18,6 +21,7 @@
 // stable for the process lifetime) instead of re-resolving by name.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -116,6 +120,17 @@ class Distribution {
     double min = std::numeric_limits<double>::infinity();
     double max = -std::numeric_limits<double>::infinity();
     std::array<std::uint64_t, kBuckets> hist{};
+    /// Records one sample, as Distribution::record does, into plain
+    /// single-owner state (a vcuda Device's per-launch totals).
+    void record(double x) {
+      ++count;
+      sum += x;
+      min = std::min(min, x);
+      max = std::max(max, x);
+      ++hist[bucket_of(x)];
+    }
+    /// Adds `other`'s samples: the stats of both sample sets together.
+    void merge(const Stats& other);
     [[nodiscard]] double mean() const {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
     }
@@ -153,6 +168,11 @@ class Distribution {
   std::array<Shard, kShards> shards_{};
 };
 
+/// Adds `s` to a flat metrics map as the seven entries name.count/.sum/
+/// .min/.max/.p50/.p95/.p99; adds nothing when `s` holds no sample.
+void expand_stats(std::map<std::string, double>& out, const std::string& name,
+                  const Distribution::Stats& s);
+
 /// Process-wide name -> handle table. Lookup takes a mutex; handles returned
 /// are stable, so hot paths resolve once and keep the reference.
 class CounterRegistry {
@@ -169,8 +189,8 @@ class CounterRegistry {
 
   /// after - before for counter values and distribution counts/sums
   /// (min/max/percentiles pass through from `after`). Entries with a zero
-  /// delta are dropped; this is what a per-measurement metrics map is
-  /// built from.
+  /// delta are dropped; this is what an omp/cpp measurement's metrics map
+  /// is built from (a cuda one reads its own Devices' totals).
   static std::map<std::string, double> delta(
       const std::map<std::string, double>& before,
       const std::map<std::string, double>& after);

@@ -5,7 +5,9 @@
 
 #include <cerrno>
 #include <cctype>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +16,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -267,10 +270,17 @@ void telemetry_init_from_env(std::string_view unset_path) {
   if (v.empty() || v == "0" || v == "off") return;
   TelemetryOptions opts;
   opts.path = std::string(v);
-  if (const char* i = std::getenv("INDIGO_TELEMETRY_INTERVAL_S");
-      i != nullptr && *i != '\0') {
-    const double secs = std::atof(i);
-    if (secs > 0) opts.interval_s = secs;
+  if (const char* i = std::getenv("INDIGO_TELEMETRY_INTERVAL_S")) {
+    const std::string_view s(i);
+    double secs = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), secs);
+    if (ec != std::errc() || ptr != s.data() + s.size() ||
+        !std::isfinite(secs) || secs <= 0) {
+      throw std::invalid_argument(
+          "INDIGO_TELEMETRY_INTERVAL_S must be a finite decimal > 0, got \"" +
+          std::string(s) + '"');
+    }
+    opts.interval_s = secs;
   }
   telemetry_start(std::move(opts));
   std::atexit(telemetry_stop);

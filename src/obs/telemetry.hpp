@@ -27,8 +27,10 @@ namespace indigo::obs {
 const std::string& process_trace_id();
 
 /// The publisher never arms the counter layer: obs::enabled() changes a
-/// sweep's journal keys and execution classes, so the counters field has
-/// content only when something else (INDIGO_TRACE, INDIGO_METRICS) armed it.
+/// sweep's journal keys, so the counters field has content only when
+/// something else (INDIGO_TRACE, INDIGO_METRICS) armed it. Even then it
+/// holds the process-wide counters (sched.*, cpu.*, worklist.*), not
+/// vcuda.*: a cuda measurement's counters live in its own Devices.
 struct TelemetryOptions {
   /// Snapshot path; the Prometheus exposition lands next to it with the
   /// extension swapped to ".prom".
@@ -70,8 +72,10 @@ void telemetry_unregister_section(const std::string& name);
 /// Reads INDIGO_TELEMETRY (snapshot path; "0"/"off" disables; unset or empty
 /// means `unset_path`, where empty disables) and INDIGO_TELEMETRY_INTERVAL_S,
 /// and starts the publisher unless it is already running. The only reader
-/// of INDIGO_TELEMETRY: obs::init_from_env() calls it with no default, and
-/// long-lived tools that publish by default pass their path.
+/// of both: obs::init_from_env() calls it with no default, and long-lived
+/// tools that publish by default pass their path. When it would start the
+/// publisher, an INDIGO_TELEMETRY_INTERVAL_S that is not wholly a finite
+/// decimal > 0 throws std::invalid_argument naming the variable.
 void telemetry_init_from_env(std::string_view unset_path = {});
 
 }  // namespace indigo::obs

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <stdexcept>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
@@ -92,7 +93,13 @@ void init_from_env() {
       set_metrics_path(p);
     }
     flight_init_from_env();
-    telemetry_init_from_env();
+    try {
+      telemetry_init_from_env();
+    } catch (const std::invalid_argument&) {
+      // A malformed INDIGO_TELEMETRY_INTERVAL_S leaves the publisher off;
+      // this runs at static initialization, so the error surfaces from the
+      // next telemetry_init_from_env call (bench::Harness, sweep_all).
+    }
     std::atexit(write_trace_at_exit);
   });
 }

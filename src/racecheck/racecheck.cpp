@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/counters.hpp"
-
 namespace indigo::racecheck {
 
 // ---------------------------------------------------------------------------
@@ -62,21 +60,8 @@ void reset_global() {
 }
 
 void merge_global(const Report& r) {
-  {
-    std::lock_guard lk(g_report_mu);
-    g_report.merge(r);
-  }
-  // Mirror into the obs layer so traces/JSONL carry the audit alongside the
-  // hardware-style counters.
-  if (obs::enabled() && r.total_conflicts() + r.discipline_violations > 0) {
-    auto& reg = obs::CounterRegistry::instance();
-    static obs::Counter& c_benign = reg.counter("racecheck.benign");
-    static obs::Counter& c_harmful = reg.counter("racecheck.harmful");
-    static obs::Counter& c_disc = reg.counter("racecheck.discipline");
-    c_benign.add(r.benign_conflicts());
-    c_harmful.add(r.conflicts_harmful);
-    c_disc.add(r.discipline_violations);
-  }
+  std::lock_guard lk(g_report_mu);
+  g_report.merge(r);
 }
 
 std::vector<std::pair<std::string, double>> metric_entries(const Report& r) {
@@ -146,18 +131,26 @@ void VcudaChecker::classify(Shadow& s, std::uint64_t addr,
   }
   ++report_.conflicts_harmful;
   std::ostringstream os;
-  os << "harmful race at 0x" << std::hex << addr << std::dec << " launch "
-     << cur.launch << ": block " << prev.block << " tid " << prev.tid
+  os << "harmful race on element #" << s.ordinal << " launch " << cur.launch
+     << ": block " << prev.block << " tid " << prev.tid
      << " vs block " << cur.block << " tid " << cur.tid
      << " (direction reversed: " << static_cast<int>(s.mono_dir) << " then "
      << write_sign << ")";
   report_.add_note(os.str());
 }
 
+VcudaChecker::Shadow& VcudaChecker::shadow_of(std::uint64_t addr) {
+  const auto [it, fresh] = shadow_.try_emplace(addr);
+  if (fresh) {
+    it->second.ordinal = static_cast<std::uint32_t>(shadow_.size() - 1);
+  }
+  return it->second;
+}
+
 void VcudaChecker::read(const void* elem, std::uint32_t block,
                         std::uint32_t tid, bool atomic) {
   const auto addr = reinterpret_cast<std::uint64_t>(elem);
-  Shadow& s = shadow_[addr];
+  Shadow& s = shadow_of(addr);
   const AccessRec cur{launch_, epoch_, block, tid, atomic, true};
   if (conflicts(s.last_write, cur)) {
     classify(s, addr, s.last_write, cur, s.last_write.atomic && atomic,
@@ -169,7 +162,7 @@ void VcudaChecker::read(const void* elem, std::uint32_t block,
 void VcudaChecker::write(const void* elem, std::uint32_t block,
                          std::uint32_t tid, bool atomic, int delta_sign) {
   const auto addr = reinterpret_cast<std::uint64_t>(elem);
-  Shadow& s = shadow_[addr];
+  Shadow& s = shadow_of(addr);
   const AccessRec cur{launch_, epoch_, block, tid, atomic, true};
   // Last-access approximation: report at most one conflict per incoming
   // access, preferring the write-write pair.
@@ -189,11 +182,10 @@ void VcudaChecker::declare_racy(const void* base, std::size_t bytes) {
   racy_ranges_.emplace_back(lo, lo + bytes);
 }
 
-void VcudaChecker::finalize() {
-  if (finalized_) return;
-  finalized_ = true;
-  report_.addresses_tracked = shadow_.size();
-  merge_global(report_);
+Report VcudaChecker::report() const {
+  Report r = report_;
+  r.addresses_tracked = shadow_.size();
+  return r;
 }
 
 // ---------------------------------------------------------------------------

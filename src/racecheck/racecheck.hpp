@@ -119,8 +119,10 @@ struct Report {
 /// first `before.notes.size()` entries).
 Report diff(const Report& after, const Report& before);
 
-/// Process-wide running totals; checkers fold into this (VcudaChecker on
-/// device destruction, CPU hooks immediately). Thread-safe.
+/// Process-wide running totals of the CPU discipline hooks, which fold each
+/// violation in immediately. Thread-safe. A vcuda Device's findings never
+/// land here: its VcudaChecker's report reaches the measurement through
+/// vcuda::MetricsScope.
 Report global_report();
 void reset_global();
 void merge_global(const Report& r);
@@ -159,11 +161,8 @@ class VcudaChecker {
   /// classified BenignDeclared instead of escalating to harmful.
   void declare_racy(const void* base, std::size_t bytes);
 
-  [[nodiscard]] const Report& report() const { return report_; }
-
-  /// Folds the final tallies into the global report. Called once, by
-  /// ~Device.
-  void finalize();
+  /// The tallies so far, with addresses_tracked filled in.
+  [[nodiscard]] Report report() const;
 
  private:
   struct AccessRec {
@@ -181,7 +180,12 @@ class VcudaChecker {
     /// Direction established by the first value-changing racing write;
     /// later racing writes must agree or the race is harmful.
     std::int8_t mono_dir = 0;
+    /// How many addresses entered the map before this one: names the
+    /// element in notes the same way in every process (addresses do not).
+    std::uint32_t ordinal = 0;
   };
+
+  Shadow& shadow_of(std::uint64_t addr);
 
   [[nodiscard]] bool conflicts(const AccessRec& prev,
                                const AccessRec& cur) const;
@@ -194,7 +198,6 @@ class VcudaChecker {
   Report report_;
   std::uint64_t launch_ = 0;
   std::uint64_t epoch_ = 0;
-  bool finalized_ = false;
 };
 
 // ---------------------------------------------------------------------------

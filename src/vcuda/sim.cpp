@@ -20,6 +20,7 @@ using Clock = std::chrono::steady_clock;
 
 /// The calling thread's deadline; time_point::max() = none.
 thread_local Clock::time_point t_deadline = Clock::time_point::max();
+thread_local MetricsScope* t_metrics_scope = nullptr;
 
 }  // namespace
 
@@ -34,6 +35,82 @@ void throw_if_past_deadline() {
   if (t_deadline != Clock::time_point::max() && Clock::now() >= t_deadline) {
     throw DeadlineError("vcuda: the attempt's deadline has passed");
   }
+}
+
+MetricsScope::MetricsScope() : previous_(t_metrics_scope) {
+  t_metrics_scope = this;
+}
+
+MetricsScope::~MetricsScope() { t_metrics_scope = previous_; }
+
+void MetricsScope::collect(const Device& dev) {
+  MetricsScope* scope = t_metrics_scope;
+  if (scope == nullptr) return;
+  scope->totals_.merge(dev.totals());
+  scope->racecheck_.merge(dev.racecheck_report());
+}
+
+void DeviceTotals::add_launch(const LaunchStats& s, double kernel_s,
+                              std::uint64_t footprint) {
+  ++launches;
+  transactions += s.transactions;
+  transactions_replayed += s.replayed_transactions();
+  mem_instructions += s.mem_instructions;
+  atomic_ops += s.atomic_ops;
+  atomic_conflicts += s.atomic_conflicts;
+  block_atomic_ops += s.block_atomic_ops;
+  fence_cycles += static_cast<std::uint64_t>(std::llround(s.fence_cycles));
+  barriers += s.barriers;
+  lane_cycles += static_cast<std::uint64_t>(std::llround(s.lane_cycles));
+  lockstep_cycles +=
+      static_cast<std::uint64_t>(std::llround(s.lockstep_cycles));
+  sim_ns += static_cast<std::uint64_t>(std::llround(kernel_s * 1e9));
+  occupancy.record(s.occupancy);
+  divergence.record(s.divergence_factor());
+  footprint_bytes.record(static_cast<double>(footprint));
+}
+
+void DeviceTotals::merge(const DeviceTotals& o) {
+  launches += o.launches;
+  transactions += o.transactions;
+  transactions_replayed += o.transactions_replayed;
+  mem_instructions += o.mem_instructions;
+  atomic_ops += o.atomic_ops;
+  atomic_conflicts += o.atomic_conflicts;
+  block_atomic_ops += o.block_atomic_ops;
+  fence_cycles += o.fence_cycles;
+  barriers += o.barriers;
+  lane_cycles += o.lane_cycles;
+  lockstep_cycles += o.lockstep_cycles;
+  sim_ns += o.sim_ns;
+  occupancy.merge(o.occupancy);
+  divergence.merge(o.divergence);
+  footprint_bytes.merge(o.footprint_bytes);
+}
+
+std::map<std::string, double> DeviceTotals::metrics() const {
+  std::map<std::string, double> out;
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"vcuda.launches", launches},
+      {"vcuda.transactions", transactions},
+      {"vcuda.transactions_replayed", transactions_replayed},
+      {"vcuda.mem_instructions", mem_instructions},
+      {"vcuda.atomic_ops", atomic_ops},
+      {"vcuda.atomic_conflicts", atomic_conflicts},
+      {"vcuda.block_atomic_ops", block_atomic_ops},
+      {"vcuda.fence_cycles", fence_cycles},
+      {"vcuda.barriers", barriers},
+      {"vcuda.lane_cycles", lane_cycles},
+      {"vcuda.lockstep_cycles", lockstep_cycles},
+      {"vcuda.sim_ns", sim_ns},
+  };
+  for (const auto& [name, value] : counters) {
+    if (value != 0) out[name] = static_cast<double>(value);
+  }
+  obs::expand_stats(out, "vcuda.occupancy", occupancy);
+  obs::expand_stats(out, "vcuda.divergence", divergence);
+  obs::expand_stats(out, "mem.launch_footprint_bytes", footprint_bytes);
+  return out;
 }
 
 void note_modeled_footprint(std::uint64_t bytes) {
@@ -438,9 +515,7 @@ Device::Device(const DeviceSpec& spec)
   }
 }
 
-Device::~Device() {
-  if (rc_) rc_->finalize();
-}
+Device::~Device() { MetricsScope::collect(*this); }
 
 void Device::begin_launch(std::uint32_t grid_dim, std::uint32_t block_dim) {
   throw_if_past_deadline();
@@ -485,52 +560,15 @@ void Device::finalize_launch() {
   const double kernel_s = std::max({compute_s, mem_s, atomic_s}) + fence_s +
                           spec_.kernel_launch_us * 1e-6;
   elapsed_s_ += kernel_s;
-  ++launches_;
   last_stats_ = stats_;
-
-  if (obs::enabled()) {
-    auto& reg = obs::CounterRegistry::instance();
-    static obs::Counter& c_launches = reg.counter("vcuda.launches");
-    static obs::Counter& c_txn = reg.counter("vcuda.transactions");
-    static obs::Counter& c_replay =
-        reg.counter("vcuda.transactions_replayed");
-    static obs::Counter& c_instr = reg.counter("vcuda.mem_instructions");
-    static obs::Counter& c_aops = reg.counter("vcuda.atomic_ops");
-    static obs::Counter& c_aconf = reg.counter("vcuda.atomic_conflicts");
-    static obs::Counter& c_baops = reg.counter("vcuda.block_atomic_ops");
-    static obs::Counter& c_fence = reg.counter("vcuda.fence_cycles");
-    static obs::Counter& c_barrier = reg.counter("vcuda.barriers");
-    static obs::Counter& c_useful = reg.counter("vcuda.lane_cycles");
-    static obs::Counter& c_lockstep = reg.counter("vcuda.lockstep_cycles");
-    static obs::Counter& c_sim_ns = reg.counter("vcuda.sim_ns");
-    static obs::Distribution& d_occ = reg.distribution("vcuda.occupancy");
-    static obs::Distribution& d_div = reg.distribution("vcuda.divergence");
-    static obs::Distribution& d_foot =
-        reg.distribution("mem.launch_footprint_bytes");
-    c_launches.add(1);
-    d_foot.record(static_cast<double>(modeled_footprint_bytes()));
-    c_txn.add(stats_.transactions);
-    c_replay.add(stats_.replayed_transactions());
-    c_instr.add(stats_.mem_instructions);
-    c_aops.add(stats_.atomic_ops);
-    c_aconf.add(stats_.atomic_conflicts);
-    c_baops.add(stats_.block_atomic_ops);
-    c_fence.add(static_cast<std::uint64_t>(std::llround(stats_.fence_cycles)));
-    c_barrier.add(stats_.barriers);
-    c_useful.add(static_cast<std::uint64_t>(std::llround(stats_.lane_cycles)));
-    c_lockstep.add(
-        static_cast<std::uint64_t>(std::llround(stats_.lockstep_cycles)));
-    c_sim_ns.add(static_cast<std::uint64_t>(std::llround(kernel_s * 1e9)));
-    d_occ.record(stats_.occupancy);
-    d_div.record(stats_.divergence_factor());
-  }
+  totals_.add_launch(stats_, kernel_s, modeled_footprint_bytes());
   if (obs::trace_enabled()) {
     // Re-create the launch window as a span: structured counters attached
     // to one trace event per kernel launch.
     obs::Span span("vcuda.launch", "vcuda");
     if (span.active()) {
       // Rewind the span's start to when the launch actually began.
-      span.arg("launch_index", static_cast<double>(launches_ - 1));
+      span.arg("launch_index", static_cast<double>(totals_.launches - 1));
       span.arg("grid_dim", stats_.grid_dim);
       span.arg("block_dim", stats_.block_dim);
       span.arg("occupancy", stats_.occupancy);

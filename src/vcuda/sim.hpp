@@ -28,12 +28,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/counters.hpp"
 #include "racecheck/racecheck.hpp"
 #include "vcuda/device_spec.hpp"
 
@@ -154,6 +156,36 @@ struct LaunchStats {
   }
 
   void reset() { *this = LaunchStats{}; }
+};
+
+/// One Device's observability totals: every launch's LaunchStats, modeled
+/// seconds and footprint summed into counters and three distributions.
+/// A measurement's metrics are the totals of the Devices its run created
+/// (MetricsScope), so they never mix in another measurement's launches.
+struct DeviceTotals {
+  std::uint64_t launches = 0;
+  std::uint64_t transactions = 0;
+  std::uint64_t transactions_replayed = 0;
+  std::uint64_t mem_instructions = 0;
+  std::uint64_t atomic_ops = 0;
+  std::uint64_t atomic_conflicts = 0;
+  std::uint64_t block_atomic_ops = 0;
+  std::uint64_t fence_cycles = 0;     // rounded per launch
+  std::uint64_t barriers = 0;
+  std::uint64_t lane_cycles = 0;      // rounded per launch
+  std::uint64_t lockstep_cycles = 0;  // rounded per launch
+  std::uint64_t sim_ns = 0;           // modeled kernel time, rounded per launch
+  obs::Distribution::Stats occupancy;
+  obs::Distribution::Stats divergence;
+  obs::Distribution::Stats footprint_bytes;
+
+  void add_launch(const LaunchStats& s, double kernel_s,
+                  std::uint64_t footprint);
+  void merge(const DeviceTotals& other);
+  /// Flat metrics map: "vcuda.<counter>" per nonzero counter, and the
+  /// vcuda.occupancy, vcuda.divergence and mem.launch_footprint_bytes
+  /// distributions expanded by obs::expand_stats.
+  [[nodiscard]] std::map<std::string, double> metrics() const;
 };
 
 namespace detail {
@@ -1243,12 +1275,39 @@ class DeadlineScope {
 /// no-op outside a DeadlineScope.
 void throw_if_past_deadline();
 
+/// Collects, while the scope lives, the totals and racecheck findings of
+/// every Device destroyed on the calling thread (the previous scope is
+/// restored on exit). measure() opens one around each run, so a cuda
+/// measurement reads its own Devices' instruments however many others run
+/// on other threads.
+class MetricsScope {
+ public:
+  MetricsScope();
+  ~MetricsScope();
+
+  MetricsScope(const MetricsScope&) = delete;
+  MetricsScope& operator=(const MetricsScope&) = delete;
+
+  [[nodiscard]] const DeviceTotals& totals() const { return totals_; }
+  [[nodiscard]] const racecheck::Report& racecheck_report() const {
+    return racecheck_;
+  }
+
+  /// ~Device's hand-off; a no-op when the thread has no open scope.
+  static void collect(const Device& dev);
+
+ private:
+  MetricsScope* previous_;
+  DeviceTotals totals_;
+  racecheck::Report racecheck_;
+};
+
 /// One simulated GPU. Accumulates simulated elapsed time across launches;
 /// one Device instance corresponds to one timed program execution.
 class Device {
  public:
   explicit Device(const DeviceSpec& spec);
-  ~Device();  // folds the racecheck tallies into the global report
+  ~Device();  // hands totals() and racecheck_report() to the MetricsScope
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -1337,9 +1396,11 @@ class Device {
   /// Total simulated seconds across all launches so far.
   [[nodiscard]] double elapsed_seconds() const { return elapsed_s_; }
   /// Number of kernel launches so far.
-  [[nodiscard]] std::uint64_t launches() const { return launches_; }
+  [[nodiscard]] std::uint64_t launches() const { return totals_.launches; }
   /// Stats of the most recent launch (for tests and model inspection).
   [[nodiscard]] const LaunchStats& last_stats() const { return last_stats_; }
+  /// Every launch so far, summed (the source of a measurement's metrics).
+  [[nodiscard]] const DeviceTotals& totals() const { return totals_; }
 
   /// The racecheck shadow-state checker, or nullptr when racecheck was
   /// disabled at Device construction.
@@ -1434,7 +1495,7 @@ class Device {
   double hot_max_ = 0;
   double launch_start_us_ = 0;  // wall clock, for the launch trace span
   double elapsed_s_ = 0;
-  std::uint64_t launches_ = 0;
+  DeviceTotals totals_;
 };
 
 // --- WarpCtx batched recording (needs the complete Device) ----------------

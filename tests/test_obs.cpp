@@ -18,21 +18,24 @@
 #include "obs/trace.hpp"
 
 // Count every heap allocation in the binary so tests can assert that the
-// disabled obs path performs none.
+// disabled obs path performs none. The replacements stay out of line, and
+// every delete goes through the one that calls free: inlined into a caller,
+// a malloc-backed new and a free-backed delete would read to the compiler
+// as a mismatched allocation pair.
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n > 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace indigo::obs {
 namespace {

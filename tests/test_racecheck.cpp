@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -14,9 +15,11 @@
 #include "core/registry.hpp"
 #include "core/runner.hpp"
 #include "graph/generate.hpp"
+#include "obs/counters.hpp"
 #include "racecheck/racecheck.hpp"
 #include "racecheck/selftest.hpp"
 #include "threading/thread_team.hpp"
+#include "variants/register_all.hpp"
 #include "vcuda/sim.hpp"
 
 namespace indigo {
@@ -217,6 +220,44 @@ TEST(Racecheck, MeasureReportsRacecheckMetrics) {
 
   const Measurement m2 = measure(v, g, opts, 1, ver);
   EXPECT_FALSE(m2.metrics.contains("racecheck.conflicts_harmful"));
+}
+
+TEST(Racecheck, ConcurrentCudaMeasurementsReadOnlyTheirOwnDevices) {
+  variants::register_all_variants();
+  const Graph g = make_rmat(7);
+  Verifier ver(g, 0);
+  const vcuda::DeviceSpec spec = vcuda::rtx3090_like();
+  RunOptions opts;
+  opts.device = &spec;
+  const Variant* a =
+      Registry::instance().select(Model::Cuda, Algorithm::SSSP).front();
+  const Variant* b =
+      Registry::instance().select(Model::Cuda, Algorithm::PR).front();
+
+  obs::set_enabled(true);
+  racecheck::ScopedEnable on(true);
+  const Measurement alone_a = measure(*a, g, opts, 1, ver);
+  const Measurement alone_b = measure(*b, g, opts, 1, ver);
+  std::vector<Measurement> together_a(3), together_b(3);
+  std::atomic<int> ready{0};
+  auto measure_all = [&](const Variant* v, std::vector<Measurement>& out) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+    }
+    for (Measurement& m : out) m = measure(*v, g, opts, 1, ver);
+  };
+  std::thread ta(measure_all, a, std::ref(together_a));
+  std::thread tb(measure_all, b, std::ref(together_b));
+  ta.join();
+  tb.join();
+  obs::set_enabled(false);
+
+  ASSERT_TRUE(alone_a.verified && alone_b.verified);
+  EXPECT_GT(alone_a.metrics.at("vcuda.launches"), 0.0);
+  EXPECT_TRUE(alone_b.metrics.contains("racecheck.conflicts_harmful"));
+  EXPECT_NE(alone_a.metrics, alone_b.metrics);
+  for (const Measurement& m : together_a) EXPECT_EQ(m.metrics, alone_a.metrics);
+  for (const Measurement& m : together_b) EXPECT_EQ(m.metrics, alone_b.metrics);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "algorithms/serial/serial.hpp"
 #include "core/registry.hpp"
 #include "core/runner.hpp"
 #include "graph/generate.hpp"
+#include "obs/counters.hpp"
 #include "variants/register_all.hpp"
 
 namespace indigo {
@@ -103,6 +105,38 @@ TEST(Measure, DedupModelRepsSimulatesOnce) {
   EXPECT_TRUE(m.verified) << m.error;
   EXPECT_EQ(*calls, 1);  // one simulation, sample replicated
   EXPECT_DOUBLE_EQ(m.seconds, 2.5);
+}
+
+TEST(Measure, CudaDistributionsCoverOnlyTheirOwnLaunches) {
+  variants::register_all_variants();
+  const Variant* v =
+      Registry::instance().select(Model::Cuda, Algorithm::BFS).front();
+  const vcuda::DeviceSpec spec = vcuda::rtx3090_like();
+  RunOptions opts;
+  opts.device = &spec;
+  const Graph large = make_rmat(11);
+  const Graph small = make_grid2d(3);
+  Verifier large_ver(large, 0), small_ver(small, 0);
+  obs::set_enabled(true);
+  const Measurement before = measure(*v, large, opts, 1, large_ver);
+  const Measurement m = measure(*v, small, opts, 1, small_ver);
+  obs::set_enabled(false);
+  ASSERT_TRUE(before.verified && m.verified);
+  int distributions = 0;
+  for (const auto& [key, count] : m.metrics) {
+    if (!key.ends_with(".count")) continue;
+    ++distributions;
+    const std::string stem = key.substr(0, key.size() - 6);
+    const double sum = m.metrics.at(stem + ".sum");
+    const double lo = m.metrics.at(stem + ".min");
+    const double hi = m.metrics.at(stem + ".max");
+    const double mean = sum / count;
+    const double slack = 1e-12 * std::abs(sum);  // rounding of sum / count
+    EXPECT_LE(lo, mean + slack) << stem;
+    EXPECT_LE(mean, hi + slack) << stem;
+    EXPECT_LE(hi, sum) << stem;
+  }
+  EXPECT_EQ(distributions, 3);
 }
 
 TEST(Verifier, PrToleranceScalesWithRankAndVertexCount) {

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "vcuda/device_spec.hpp"
 #include "vcuda/sim.hpp"
 
@@ -339,29 +338,53 @@ TEST(VcudaModel, MoreMemoryTrafficTakesLonger) {
 // --- observability hooks ----------------------------------------------------
 
 TEST(VcudaObs, UncoalescedTwinReportsMoreTransactionsAndReplays) {
-  obs::set_enabled(true);
-  auto& reg = obs::CounterRegistry::instance();
   std::vector<std::uint32_t> data(4096, 0);
   // The same kernel at two lane strides: adjacent words coalesce into one
   // 128-byte transaction, 128-byte-apart words replay into 32.
   auto run = [&](std::uint32_t stride) {
-    const auto before = reg.snapshot();
     Device dev(spec());
     auto arr = dev.array(std::span<std::uint32_t>(data));
     dev.launch(1, 32, [&](Block& blk) {
       blk.for_each_thread(
           [&](Thread& t) { (void)arr.ld(t, t.thread_idx() * stride); });
     });
-    return obs::CounterRegistry::delta(before, reg.snapshot());
+    return dev.totals().metrics();
   };
   auto coalesced = run(1);
   auto scattered = run(32);
-  obs::set_enabled(false);
+  EXPECT_DOUBLE_EQ(coalesced["vcuda.launches"], 1.0);
   EXPECT_DOUBLE_EQ(coalesced["vcuda.transactions"], 1.0);
   EXPECT_DOUBLE_EQ(scattered["vcuda.transactions"], 32.0);
-  EXPECT_EQ(coalesced.count("vcuda.transactions_replayed"), 0u);  // zero delta
+  EXPECT_EQ(coalesced.count("vcuda.transactions_replayed"), 0u);  // zero
   EXPECT_DOUBLE_EQ(scattered["vcuda.transactions_replayed"], 31.0);
   EXPECT_GT(scattered["vcuda.transactions"], coalesced["vcuda.transactions"]);
+}
+
+TEST(VcudaObs, MetricsScopeCollectsOnlyItsOwnDevices) {
+  auto run = [](std::uint32_t grid) {
+    Device dev(spec());
+    for (int i = 0; i < 3; ++i) {
+      dev.launch(grid, 32, [](Block& blk) {
+        blk.for_each_thread([](Thread& t) { t.work(10.0); });
+      });
+    }
+  };
+  run(1);  // outside any scope: counted nowhere
+  MetricsScope outer;
+  run(2);
+  {
+    MetricsScope inner;
+    run(4);
+    run(8);
+    EXPECT_EQ(inner.totals().launches, 6u);
+    EXPECT_EQ(inner.totals().occupancy.count, 6u);
+  }
+  EXPECT_EQ(outer.totals().launches, 3u);
+  const auto m = outer.totals().metrics();
+  EXPECT_DOUBLE_EQ(m.at("vcuda.launches"), 3.0);
+  EXPECT_DOUBLE_EQ(m.at("vcuda.occupancy.count"), 3.0);
+  EXPECT_DOUBLE_EQ(m.at("vcuda.occupancy.min"), m.at("vcuda.occupancy.max"));
+  EXPECT_TRUE(m.contains("mem.launch_footprint_bytes.p99"));
 }
 
 TEST(VcudaObs, AtomicConflictsCountCrossWarpContentionNotPrivateReuse) {
