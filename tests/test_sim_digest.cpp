@@ -7,7 +7,8 @@
 // inputs pin the engine dispatch of the Warp/Block-granularity vertex
 // kernels: boundary_input both sides of the one-round rule, and
 // hub_pairs_input the replayed edge-less warps of multi-item persistent
-// blocks and of the TC Block kernels.
+// blocks and of the TC Block kernels. A third, tc_arcs_input, pins both
+// sides of the same rule for the TC edge-flow Warp/Block kernels.
 //
 // The digest detects changes; it is not an independent oracle. When a
 // change is meant to move modeled numbers, review the diff of the actual
@@ -154,6 +155,42 @@ Graph hub_pairs_input() {
   return b.finish({.remove_duplicates = true});
 }
 
+/// Arc-boundary input for the one-round dispatch of the TC edge-flow
+/// Warp/Block kernels, whose arc (u, v) strides N(u) when u < v and has no
+/// strided edge otherwise. Hubs of degree 32/33 (around the warp stride)
+/// and 256/257 (around the block stride) sit mid-range, so each has arcs on
+/// both sides of v. Every two consecutive leaves of a hub are joined by a
+/// chord, which closes a triangle through the hub (and, two apart on the
+/// leaf ring, one through the ring vertex between them); an arc from a hub
+/// to its
+/// second-largest leaf has one searching lane, so a hit there is its warp's
+/// last search round (GlobalAdd's trailing atomic).
+Graph tc_arcs_input() {
+  constexpr vid_t kN = 640;
+  constexpr vid_t kHubs[] = {200, 280, 360, 440};
+  constexpr vid_t kHubDegree[] = {32, 33, 256, 257};
+  auto is_hub = [&](vid_t v) {
+    return std::find(std::begin(kHubs), std::end(kHubs), v) != std::end(kHubs);
+  };
+  std::vector<vid_t> leaves;
+  for (vid_t v = 0; v < kN; ++v) {
+    if (!is_hub(v)) leaves.push_back(v);
+  }
+  const auto nl = static_cast<vid_t>(leaves.size());
+  GraphBuilder b(kN, "tcarcs-2e9");
+  for (vid_t i = 0; i < nl; ++i) b.add_undirected(leaves[i], leaves[(i + 1) % nl]);
+  for (std::size_t h = 0; h < std::size(kHubs); ++h) {
+    // Distinct leaves, `step` apart on the ring, spread over the id range.
+    const vid_t step = std::max<vid_t>(2, nl / kHubDegree[h]);
+    for (vid_t k = 0; k < kHubDegree[h]; ++k) {
+      const vid_t at = (static_cast<vid_t>(h) * 41 + k * step) % nl;
+      b.add_undirected(kHubs[h], leaves[at]);
+      if (k > 0) b.add_undirected(leaves[(at + nl - step) % nl], leaves[at]);
+    }
+  }
+  return b.finish({});
+}
+
 /// The programs whose Warp/Block kernels dispatch on boundary_input's
 /// degrees: vertex-flow relaxations and PR push, non-persistent and
 /// persistent. Its 512 vertices exceed the rtx3090_like persistent Block
@@ -175,6 +212,11 @@ bool hub_pairs_program(const Variant& v) {
          v.algo == Algorithm::TC;
 }
 
+/// tc_arcs_input's programs: the TC edge-flow ones.
+bool tc_arcs_program(const Variant& v) {
+  return v.algo == Algorithm::TC && v.style.flow == Flow::Edge;
+}
+
 /// The digest of the current build, sorted.
 std::vector<std::string> actual_digest() {
   variants::register_all_variants();
@@ -185,6 +227,7 @@ std::vector<std::string> actual_digest() {
       make_input(InputClass::RoadNet, 8)};
   const Graph boundary = boundary_input();
   const Graph hub_pairs = hub_pairs_input();
+  const Graph tc_arcs = tc_arcs_input();
   const std::vector<vcuda::DeviceSpec> devices = {vcuda::rtx3090_like(),
                                                   vcuda::titanv_like()};
   const auto cuda = Registry::instance().select(Model::Cuda, std::nullopt);
@@ -204,6 +247,9 @@ std::vector<std::string> actual_digest() {
     if (hub_pairs_program(*v))
       for (const vcuda::DeviceSpec& d : devices)
         cells.push_back({v, &hub_pairs, &d});
+    if (tc_arcs_program(*v))
+      for (const vcuda::DeviceSpec& d : devices)
+        cells.push_back({v, &tc_arcs, &d});
   }
 
   std::vector<std::string> lines(cells.size());
@@ -231,6 +277,47 @@ std::vector<std::string> read_lines(const std::string& path) {
   }
   std::sort(lines.begin(), lines.end());
   return lines;
+}
+
+TEST(SimDigest, TcArcsInputCoversOneRoundBoundaries) {
+  const Graph g = tc_arcs_input();
+  // Each hub has arcs on both sides of v.
+  for (const auto& [hub, degree] : {std::pair<vid_t, vid_t>{200, 32},
+                                    {280, 33}, {360, 256}, {440, 257}}) {
+    ASSERT_EQ(g.degree(hub), degree);
+    const auto nbrs = g.neighbors(hub);
+    EXPECT_LT(nbrs.front(), hub);
+    EXPECT_GT(nbrs.back(), hub);
+  }
+  // Some one-round Warp arc (u < v, deg(u) <= 32) closes a triangle on its
+  // warp's last search round: the lanes take N(u), and each w > v is
+  // binary-searched in N(v) as the kernel does it.
+  bool trailing_hit = false;
+  for (vid_t u = 0; u < g.num_vertices(); ++u) {
+    if (g.degree(u) > 32) continue;
+    for (const vid_t v : g.neighbors(u)) {
+      if (u >= v) continue;
+      const auto nv = g.neighbors(v);
+      int warp_rounds = 0, last_hit = 0;
+      for (const vid_t w : g.neighbors(u)) {
+        if (w <= v) continue;
+        std::size_t lo = 0, hi = nv.size();
+        int rounds = 0;
+        while (lo < hi) {
+          ++rounds;
+          const std::size_t mid = lo + (hi - lo) / 2;
+          if (nv[mid] == w) {
+            last_hit = std::max(last_hit, rounds);
+            break;
+          }
+          (nv[mid] < w ? lo = mid + 1 : hi = mid);
+        }
+        warp_rounds = std::max(warp_rounds, rounds);
+      }
+      trailing_hit |= last_hit > 0 && last_hit == warp_rounds;
+    }
+  }
+  EXPECT_TRUE(trailing_hit);
 }
 
 TEST(SimDigest, EveryCudaVariantMatchesCheckedInDigest) {
