@@ -147,7 +147,8 @@ int main(int argc, char** argv) {
     // same launches that produced the conflict counters.
     std::cout << "\ndevice memory:\n"
               << "  peak modeled footprint: "
-              << (vcuda::peak_modeled_footprint_bytes() >> 20) << " MiB\n";
+              << bench::format_bytes(vcuda::peak_modeled_footprint_bytes())
+              << '\n';
 
     bench::shape_check(
         "push-style SSSP incurs strictly more same-address atomic conflicts "

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/args.hpp"
 #include "bench_util/harness.hpp"
 #include "bench_util/printing.hpp"
 #include "obs/trace_reader.hpp"
@@ -104,8 +105,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--top=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 6);
-      if (n <= 0) {
+      int n = 0;
+      if (!bench::parse_count(arg.substr(6), 1, n)) {
         std::cerr << "usage: obs_timeline [--top=N] <trace.json>...\n";
         return 2;
       }

@@ -12,11 +12,13 @@
 // word, and each *_warp accessor records a whole lane batch at once; see
 // WarpCtx in vcuda/sim.hpp).
 //
-// One more kernel times the per-lane engine (Block::for_each_thread, where
-// each lane runs to completion and the recorder groups the lanes' k-th
-// accesses): a thread-granularity TC merge walk, whose hub lanes record far
-// more accesses than their siblings. It is written to the JSON as
-// "per_lane_kernels", outside the gated "aggregate".
+// Two more kernels time the TC bodies, written to the JSON as
+// "ungated_kernels", outside the gated "aggregate": a thread-granularity
+// merge walk on the per-lane engine (Block::for_each_thread, where each lane
+// runs to completion and the recorder groups the lanes' k-th accesses),
+// whose hub lanes record far more accesses than their siblings, and the
+// warp-granularity edge probe (one binary search per lane) in lane-loop
+// form.
 //
 // Integrity check: every launch must record exactly the lane-level access
 // count the kernel's entry states analytically (LaunchStats::lane_accesses);
@@ -522,8 +524,8 @@ int main(int argc, char** argv) {
   for (vid_t u = 0; u < n; ++u) {
     tc_walk(u, counted(g.row_index()), counted(g.col_index()), [] {});
   }
-  std::vector<KernelResult> per_lane_results;
-  per_lane_results.push_back(time_kernel(
+  std::vector<KernelResult> ungated_results;
+  ungated_results.push_back(time_kernel(
       "tc_merge_thread", spec, reps, tc_accesses, e,
       [&](vcuda::Device& dev) {
         auto row = dev.array(row_span);
@@ -534,6 +536,99 @@ int main(int argc, char** argv) {
                 t.gidx(), [&](std::size_t i) { return row.ld(t, i); },
                 [&](std::size_t i) { return col.ld(t, i); },
                 [&] { t.work(2); });
+          });
+        });
+      }));
+
+  // --- TC edge probe, warp granularity, lane-loop engine: warp i takes arc
+  // (u, v) = (src[i], col[i]); when u < v, lane l takes edge l of N(u)
+  // (the first 32 of a hub's), and each lane whose target w is above v
+  // binary-searches N(v) for it, one col[mid] batch per round over the
+  // lanes still searching. A hit's fetch_add joins the next round's batch.
+  // This is the one-round edge body of variants/vcuda/tc.cpp (GlobalAdd);
+  // the host loop below counts its accesses lane by lane.
+  std::uint64_t probe_accesses = 0;
+  for (eid_t i = 0; i < e; ++i) {
+    const vid_t u = g.src_list()[i], v = g.col_index()[i];
+    probe_accesses += 2 * 32;  // src[i], col[i]
+    if (u >= v) continue;
+    probe_accesses += 2 * 32;  // row[u], row[u + 1]
+    const auto nu = g.neighbors(u).first(std::min<vid_t>(g.degree(u), 32));
+    const auto nv = g.neighbors(v);
+    for (const vid_t x : nu) {
+      ++probe_accesses;  // col[e]
+      if (x <= v) continue;
+      probe_accesses += 2;  // row[v], row[v + 1]
+      std::size_t lo = 0, hi = nv.size();
+      while (lo < hi) {
+        ++probe_accesses;  // col[mid]
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (nv[mid] == x) {
+          ++probe_accesses;  // the fetch_add
+          break;
+        }
+        (nv[mid] < x ? lo = mid + 1 : hi = mid);
+      }
+    }
+  }
+  std::vector<std::uint64_t> triangles(1, 0);
+  ungated_results.push_back(time_kernel(
+      "tc_probe_warp", spec, reps, probe_accesses, e,
+      [&](vcuda::Device& dev) {
+        auto src = dev.array(src_span);
+        auto row = dev.array(row_span);
+        auto col = dev.array(col_span);
+        auto count = dev.array(std::span<std::uint64_t>(triangles));
+        dev.launch(grid_for(static_cast<std::uint64_t>(e) * 32), kBD,
+                   [&](vcuda::Block& blk) {
+          blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            const std::uint32_t i = w.gidx_base() / 32;
+            if (i >= e) return;
+            const Mask all = w.full();
+            const vid_t u = src.ld_warp_u(w, all, i);
+            const vid_t v = col.ld_warp_u(w, all, i);
+            if (u >= v) return;
+            const eid_t beg = row.ld_warp_u(w, all, u);
+            const eid_t end = row.ld_warp_u(w, all, u + 1);
+            const Mask me = w.mask_first(end - beg);
+            vcuda::LaneVec<eid_t> ev{}, lo{}, hi{}, mid{};
+            vcuda::LaneVec<vid_t> wv{}, xv{};
+            vcuda::LaneVec<std::uint32_t> zero{};
+            vcuda::LaneVec<std::uint64_t> one{};
+            w.for_lanes(me, [&](int l) {
+              ev[l] = beg + static_cast<eid_t>(l);
+              one[l] = 1;
+            });
+            col.ld_warp(w, me, ev.v, wv.v);
+            Mask live = w.where(me, [&](int l) { return wv[l] > v; });
+            if (live == 0) return;
+            const eid_t lo0 = row.ld_warp_u(w, live, v);
+            const eid_t hi0 = row.ld_warp_u(w, live, v + 1);
+            if (lo0 >= hi0) return;
+            w.for_lanes(live, [&](int l) {
+              lo[l] = lo0;
+              hi[l] = hi0;
+            });
+            Mask found = 0;
+            while (live != 0) {
+              w.for_lanes(live, [&](int l) {
+                mid[l] = lo[l] + (hi[l] - lo[l]) / 2;
+              });
+              col.ld_warp(w, live, mid.v, xv.v);
+              w.work(live, 2);
+              count.fetch_add_warp(w, found, zero.v, one.v);
+              found = w.where(live, [&](int l) { return xv[l] == wv[l]; });
+              live &= ~found;
+              w.for_lanes(live, [&](int l) {
+                if (xv[l] < wv[l]) {
+                  lo[l] = mid[l] + 1;
+                } else {
+                  hi[l] = mid[l];
+                }
+              });
+              live = w.where(live, [&](int l) { return lo[l] < hi[l]; });
+            }
+            count.fetch_add_warp(w, found, zero.v, one.v);
           });
         });
       }));
@@ -563,8 +658,8 @@ int main(int argc, char** argv) {
     total_edges += k.sim_edges;
     report(k);
   }
-  std::printf("[perf_sim] per-lane engine (not in the aggregate):\n");
-  for (const KernelResult& k : per_lane_results) report(k);
+  std::printf("[perf_sim] not in the aggregate:\n");
+  for (const KernelResult& k : ungated_results) report(k);
   const double agg_aps =
       wall > 0 ? static_cast<double>(total_accesses) / wall : 0;
   const double agg_eps =
@@ -579,8 +674,8 @@ int main(int argc, char** argv) {
        << ",\n  \"arcs\": " << e << ",\n  \"reps\": " << reps
        << ",\n  \"kernels\": [\n";
   emit_kernel_array(json, results);
-  json << "  ],\n  \"per_lane_kernels\": [\n";
-  emit_kernel_array(json, per_lane_results);
+  json << "  ],\n  \"ungated_kernels\": [\n";
+  emit_kernel_array(json, ungated_results);
   // "aggregate" (the gated metric) must stay the LAST accesses_per_s key in
   // the file: the baseline reader takes the final occurrence.
   json << "  ],\n  \"aggregate\": {\"wall_s\": " << wall

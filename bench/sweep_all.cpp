@@ -43,12 +43,6 @@ namespace {
 
 using namespace indigo;
 
-/// "264 KiB" / "2 MiB" for the device-memory summary lines.
-std::string format_bytes(std::uint64_t bytes) {
-  return bytes >= (1u << 20) ? std::to_string(bytes >> 20) + " MiB"
-                             : std::to_string(bytes >> 10) + " KiB";
-}
-
 /// "[sweep] cuda: 480/490 verified of 490 measurements" per model, where
 /// the middle count excludes quarantined cells (they never measured).
 void print_model_tallies(const std::vector<Measurement>& ms) {
@@ -71,7 +65,7 @@ void print_model_tallies(const std::vector<Measurement>& ms) {
       // The capacity model's peak: the largest modeled footprint any cuda
       // cell reached.
       std::cout << "[sweep] cuda device memory: peak modeled footprint "
-                << format_bytes(vcuda::peak_modeled_footprint_bytes()) << '\n';
+                << bench::format_bytes(vcuda::peak_modeled_footprint_bytes()) << '\n';
     }
   }
 }

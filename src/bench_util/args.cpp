@@ -20,8 +20,8 @@ bool parse_name(const std::string& s, const E (&all)[N],
   return false;
 }
 
-/// Whole decimal `s` >= `min` into `out`; false on anything else (empty,
-/// sign-only, trailing characters, out of int range).
+}  // namespace
+
 bool parse_count(const std::string& s, int min, int& out) {
   int v = 0;
   const char* end = s.data() + s.size();
@@ -30,8 +30,6 @@ bool parse_count(const std::string& s, int min, int& out) {
   out = v;
   return true;
 }
-
-}  // namespace
 
 SweepOptions BenchArgs::sweep() const {
   SweepOptions sw;

@@ -29,6 +29,10 @@ struct BenchArgs {
   [[nodiscard]] std::vector<Model> models() const;
 };
 
+/// Whole decimal `s` >= `min` into `out`; false on anything else (empty,
+/// sign-only, trailing characters, out of int range).
+bool parse_count(const std::string& s, int min, int& out);
+
 /// Parses the shared flags of argv[1..argc) into a BenchArgs. Numbers must
 /// be whole decimal values (--reps > 0, --workers > 0); a malformed value
 /// prints "bad argument" and returns nullopt. Arguments that are not shared

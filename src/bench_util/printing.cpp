@@ -21,6 +21,11 @@ void print_distribution(const std::vector<stats::NamedSample>& samples,
   std::cout << stats::render_summary_table(samples);
 }
 
+std::string format_bytes(std::uint64_t bytes) {
+  return bytes >= (1u << 20) ? std::to_string(bytes >> 20) + " MiB"
+                             : std::to_string(bytes >> 10) + " KiB";
+}
+
 void print_matrix(const std::vector<std::string>& row_labels,
                   const std::vector<std::string>& col_labels,
                   const std::vector<std::vector<double>>& cells,

@@ -2,6 +2,7 @@
 // summary blocks, and markdown-ish matrices.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +18,10 @@ void print_header(const std::string& id, const std::string& title,
 /// Prints a boxen rendering plus the numeric summary table of the samples.
 void print_distribution(const std::vector<stats::NamedSample>& samples,
                         const std::string& y_label = "throughput ratio");
+
+/// "264 KiB" / "2 MiB": a byte count in whole KiB below 1 MiB, else in
+/// whole MiB (the device-memory summary lines).
+[[nodiscard]] std::string format_bytes(std::uint64_t bytes);
 
 /// Prints a labelled matrix with fixed-width numeric cells.
 void print_matrix(const std::vector<std::string>& row_labels,

@@ -149,11 +149,10 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
         nxt.fetch_add_warp(w, me, uv.v, sharev.v);
       };
       const std::uint32_t grid1 = grid_for<C.gran, C.pers>(dev, n);
-      const auto vertex_of = [](std::uint32_t v) { return v; };
+      const auto edges_of = [&](std::uint32_t v) { return g.degree(v); };
       dev.launch(grid1, kBD, [&](vcuda::Block& blk) {
         if constexpr (kOneRound) {
-          if (run_one_round<C.gran, C.pers>(blk, g, n, false, vertex_of,
-                                            scatter_warp)) {
+          if (run_one_round<C.gran, C.pers>(blk, n, edges_of, scatter_warp)) {
             return;
           }
         }
@@ -173,7 +172,6 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
               });
         };
         if constexpr (C.gran == Granularity::Block) {
-          const auto edges_of = [&](std::uint32_t v) { return g.degree(v); };
           blk.for_each_thread(region,
                               first_edgeless_warp<C.pers>(blk, n, edges_of));
         } else {

@@ -358,6 +358,16 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       if constexpr (kData) i = wl_in.raw()[i];
       return i;
     };
+    const auto edges_of = [&](std::uint32_t i) {
+      return g.degree(vertex_of(i));
+    };
+    // one_round_block's count: the degree, except that an in-place (NonDet)
+    // style refuses a self-loop, whose write a sibling lane's read of the
+    // vertex's own value would see in per-lane order only.
+    const auto round_edges_of = [&](std::uint32_t i) {
+      const vid_t v = vertex_of(i);
+      return !kDet && g.has_edge(v, v) ? kMultiRound : g.degree(v);
+    };
     dev.launch(grid, kBD, [&](vcuda::Block& blk) {
       if constexpr (kProcLaneLoop) {
         blk.for_each_warp([&](vcuda::WarpCtx& w) {
@@ -396,7 +406,7 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
         return;
       }
       if constexpr (kOneRound) {
-        if (run_one_round<C.gran, C.pers>(blk, g, items, !kDet, vertex_of,
+        if (run_one_round<C.gran, C.pers>(blk, items, round_edges_of,
                                           process_warp)) {
           return;
         }
@@ -409,9 +419,6 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
             });
       };
       if constexpr (kGran == Granularity::Block) {
-        const auto edges_of = [&](std::uint32_t i) {
-          return g.degree(vertex_of(i));
-        };
         blk.for_each_thread(region,
                             first_edgeless_warp<C.pers>(blk, items, edges_of));
       } else {

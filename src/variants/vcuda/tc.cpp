@@ -81,6 +81,18 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
 
   const std::uint32_t items = kEdge ? m : n;
   const std::uint32_t grid = grid_for<C.gran, C.pers>(dev, items);
+  // The edges a work item strides across its group's lanes
+  // (first_edgeless_warp, one_round_block): an arc (u, v) strides N(u) when
+  // u < v, and every lane of an arc with u >= v returns after its two
+  // uniform loads; a vertex strides its own list.
+  const auto edges_of = [&](std::uint32_t i) {
+    if constexpr (kEdge) {
+      const vid_t u = g.src_list()[i], v = g.col_index()[i];
+      return u < v ? g.degree(u) : vid_t{0};
+    } else {
+      return g.degree(i);
+    }
+  };
 
   dev.launch(grid, kBD, [&](vcuda::Block& blk) {
     // Integral accumulators end to end: the old double shared slots were
@@ -89,12 +101,12 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
     // identical cycle charges, so the model numbers are unchanged.
     auto slots = blk.shared_array<std::uint64_t>(kBD);
     auto block_ctr = blk.shared_array<std::uint64_t>(1);
-    // TC stays on the per-lane path on purpose: both intersection
-    // primitives (the merge walk and the binary-search probe) issue loads
-    // inside data-dependent conditionals, so a lane's op stream depends on
-    // the values it reads — sibling lanes' accesses cannot be grouped into
-    // common SIMT batches without changing which accesses coalesce, i.e.
-    // no lane-loop form is bit-identical (see docs/VCUDA_MODEL.md).
+    // The per-lane body. The thread-granularity merge walk and the vertex
+    // flow's merges issue loads inside data-dependent conditionals and run
+    // to lengths that differ per lane, so their lanes' op streams do not
+    // align batch by batch; so do the edge flow's multi-round blocks (an
+    // arc whose u has more edges than the group has lanes, or a persistent
+    // group with two or more arcs), whose lanes probe edge after edge.
     auto region = [&](vcuda::Thread& t) {
       for_items<C.gran, C.pers>(
           t, items,
@@ -134,22 +146,89 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
             }
           });
     };
-    if constexpr (C.gran == Granularity::Block) {
-      // A Block-granularity block replays its edge-less warps
-      // (first_edgeless_warp): the lanes stride over N(u), and the lanes of
-      // an arc with u >= v return after its two uniform loads.
-      const auto edges_of = [&](std::uint32_t i) {
-        if constexpr (kEdge) {
-          const vid_t u = g.src_list()[i], v = g.col_index()[i];
-          return u < v ? g.degree(u) : vid_t{0};
-        } else {
-          return g.degree(i);
+    // The edge flow's body for one arc of a one-round block
+    // (one_round_block): lane l probes at most the edge beg + off0 + l of
+    // N(u), so batch k below is every lane's k-th op of the per-lane body —
+    // the arc's loads, the edge's target, N(v)'s bounds, then one batch per
+    // binary-search round over the lanes still searching, each with its
+    // work(2). A lane's reduction follows its last op: GlobalAdd's
+    // fetch_add is its next op, so it joins the next round's batch (or
+    // trails the last round); the shared-memory folds record no access.
+    auto edge_warp = [&](vcuda::WarpCtx& w, std::uint32_t i,
+                         std::uint32_t off0) {
+      using Mask = vcuda::WarpCtx::Mask;
+      const Mask all = w.full();
+      const vid_t u = srcl.ld_warp_u(w, all, i);
+      const vid_t v = col.ld_warp_u(w, all, i);
+      if (u >= v) return;
+      const std::uint32_t beg = row.ld_warp_u(w, all, u);
+      const std::uint32_t end = row.ld_warp_u(w, all, u + 1);
+      const Mask me = w.mask_first(end - beg > off0 ? end - beg - off0 : 0);
+      if (me == 0) return;
+      // Value-initialized where gcc cannot see that the masks bound the
+      // reads.
+      vcuda::LaneVec<std::uint32_t> ev{}, wv{}, lo{}, hi{}, mid{}, xv{};
+      w.for_lanes(me, [&](int l) {
+        ev[l] = beg + off0 + static_cast<std::uint32_t>(l);
+      });
+      col.ld_warp(w, me, ev.v, wv.v);
+      Mask live = w.where(me, [&](int l) { return wv[l] > v; });
+      if (live == 0) return;
+      const std::uint32_t lo0 = row.ld_warp_u(w, live, v);
+      const std::uint32_t hi0 = row.ld_warp_u(w, live, v + 1);
+      if (lo0 >= hi0) return;
+      w.for_lanes(live, [&](int l) {
+        lo[l] = lo0;
+        hi[l] = hi0;
+      });
+      vcuda::LaneVec<std::uint32_t> zero{};
+      vcuda::LaneVec<std::uint64_t> one;
+      w.for_lanes(live, [&](int l) { one[l] = 1; });
+      Mask hits = 0;
+      Mask found = 0;  // the lanes that hit in the previous round
+      while (live != 0) {
+        w.for_lanes(live, [&](int l) { mid[l] = lo[l] + (hi[l] - lo[l]) / 2; });
+        col.ld_warp(w, live, mid.v, xv.v);
+        w.work(live, 2);
+        if constexpr (kRed == GpuReduction::GlobalAdd) {
+          count.fetch_add_warp<K::kRmw>(w, found, zero.v, one.v);
         }
-      };
-      blk.for_each_thread(region,
-                          first_edgeless_warp<C.pers>(blk, items, edges_of));
-    } else {
-      blk.for_each_thread(region);
+        found = w.where(live, [&](int l) { return xv[l] == wv[l]; });
+        hits |= found;
+        live &= ~found;
+        w.for_lanes(live, [&](int l) {
+          if (xv[l] < wv[l]) {
+            lo[l] = mid[l] + 1;
+          } else {
+            hi[l] = mid[l];
+          }
+        });
+        live = w.where(live, [&](int l) { return lo[l] < hi[l]; });
+      }
+      if constexpr (kRed == GpuReduction::GlobalAdd) {
+        count.fetch_add_warp<K::kRmw>(w, found, zero.v, one.v);
+      } else if constexpr (kRed == GpuReduction::BlockAdd) {
+        blk.atomic_add_block_warp(w, hits, block_ctr[0], one.v);
+      } else {
+        w.for_lanes(hits, [&](int l) { slots[w.tid(l)] += 1; });
+        if (hits != 0) w.work(hits, 1);
+      }
+    };
+    // The edge flow's Warp/Block blocks that one_round_block accepts run
+    // edge_warp, and a Block-granularity block on either engine replays its
+    // edge-less warps (first_edgeless_warp).
+    bool one_round = false;
+    if constexpr (kEdge && C.gran != Granularity::Thread) {
+      one_round =
+          run_one_round<C.gran, C.pers>(blk, items, edges_of, edge_warp);
+    }
+    if (!one_round) {
+      if constexpr (C.gran == Granularity::Block) {
+        blk.for_each_thread(region,
+                            first_edgeless_warp<C.pers>(blk, items, edges_of));
+      } else {
+        blk.for_each_thread(region);
+      }
     }
     drain_reduction<kRed, std::uint64_t>(
         blk, slots, block_ctr[0], [&](vcuda::Thread& t, std::uint64_t total) {

@@ -147,27 +147,30 @@ void for_items_warp_gran(vcuda::WarpCtx& w, std::uint32_t items, Fn&& fn) {
   }
 }
 
-/// Dispatch rule of the one-round vertex kernels. A Warp/Block-granularity
-/// launch of `grid` kBD-thread blocks gives block `bidx` the work items
-/// [first, first + groups) below `items`, first = bidx * groups (groups =
-/// kBD / kWS warps for Warp, 1 for Block), and strides each item's edges
-/// across its group's lanes. A persistent launch hands each group its next
-/// item grid * groups later, so its block also needs first + grid * groups
-/// >= items: then every group gets at most that one item, the item the
-/// non-persistent launch gives it (a non-persistent grid covers every item
-/// once, so it always passes). The block is one-round when, in addition,
-/// every item's vertex (vertex_of(item)) has at most one edge per lane,
-/// deg <= kWS (Warp) or kBD (Block): then each lane's k-th op is its
-/// warp's k-th batch, and the lane-loop body (run_one_round) reproduces the
-/// per-lane engine's op groups, charges and old-value chains exactly.
-/// `in_place` styles (NonDet: one array read and written) also need no
-/// self-loop, whose write a sibling lane's read of the vertex's own value
-/// would see in per-lane order only. Reads the CSR on the host; records
-/// nothing.
-template <Granularity G, Persistence P, typename VertexOf>
-bool one_round_block(const Graph& g, std::uint32_t bidx, std::uint32_t grid,
-                     std::uint32_t items, bool in_place,
-                     VertexOf&& vertex_of) {
+/// An edges_of count above every stride: one_round_block refuses the item
+/// whatever its degree (an in-place relaxation's self-loop).
+inline constexpr std::uint32_t kMultiRound = ~std::uint32_t{0};
+
+/// Dispatch rule of the one-round Warp/Block kernels. A Warp/Block-
+/// granularity launch of `grid` kBD-thread blocks gives block `bidx` the
+/// work items [first, first + groups) below `items`, first = bidx * groups
+/// (groups = kBD / kWS warps for Warp, 1 for Block), and strides each
+/// item's edges across its group's lanes. A persistent launch hands each
+/// group its next item grid * groups later, so its block also needs first +
+/// grid * groups >= items: then every group gets at most that one item, the
+/// item the non-persistent launch gives it (a non-persistent grid covers
+/// every item once, so it always passes). The block is one-round when, in
+/// addition, every item strides at most one edge per lane: edges_of(item)
+/// <= kWS (Warp) or kBD (Block), where edges_of is the count
+/// first_edgeless_warp takes (a vertex kernel's degree of the item's
+/// vertex; a TC arc (u, v)'s deg(u) when u < v, else 0). Then each lane's
+/// k-th op is its warp's k-th batch, and the lane-loop body (run_one_round)
+/// reproduces the per-lane engine's op groups, charges and old-value
+/// chains exactly. A caller refuses an item outright with kMultiRound.
+/// Reads the graph on the host; records nothing.
+template <Granularity G, Persistence P, typename EdgesOf>
+bool one_round_block(std::uint32_t bidx, std::uint32_t grid,
+                     std::uint32_t items, EdgesOf&& edges_of) {
   static_assert(G != Granularity::Thread,
                 "Thread granularity gives one lane a whole adjacency list");
   constexpr std::uint32_t kGroups = G == Granularity::Warp ? kBD / kWS : 1;
@@ -178,8 +181,7 @@ bool one_round_block(const Graph& g, std::uint32_t bidx, std::uint32_t grid,
   }
   const std::uint64_t last = std::min<std::uint64_t>(first + kGroups, items);
   for (std::uint64_t i = first; i < last; ++i) {
-    const vid_t v = vertex_of(static_cast<std::uint32_t>(i));
-    if (g.degree(v) > kStride || (in_place && g.has_edge(v, v))) return false;
+    if (edges_of(static_cast<std::uint32_t>(i)) > kStride) return false;
   }
   return true;
 }
@@ -209,14 +211,15 @@ std::uint32_t first_edgeless_warp(const vcuda::Block& blk,
 
 /// Runs body(w, item, off0) for every work item of block `blk` of a
 /// Warp/Block-granularity launch in lane-loop form (lane l takes the item's
-/// edge offset off0 + l) when one_round_block accepts the block, and
-/// returns whether it did; otherwise the caller runs the block's per-lane
-/// body. A Block-granularity block replays its edge-less warps.
-template <Granularity G, Persistence P, typename VertexOf, typename Body>
-bool run_one_round(vcuda::Block& blk, const Graph& g, std::uint32_t items,
-                   bool in_place, VertexOf&& vertex_of, Body&& body) {
-  if (!one_round_block<G, P>(g, blk.block_idx(), blk.grid_dim(), items,
-                             in_place, vertex_of)) {
+/// edge offset off0 + l) when one_round_block accepts the block under
+/// `edges_of`, and returns whether it did; otherwise the caller runs the
+/// block's per-lane body. A Block-granularity block replays its edge-less
+/// warps.
+template <Granularity G, Persistence P, typename EdgesOf, typename Body>
+bool run_one_round(vcuda::Block& blk, std::uint32_t items,
+                   EdgesOf&& edges_of, Body&& body) {
+  if (!one_round_block<G, P>(blk.block_idx(), blk.grid_dim(), items,
+                             edges_of)) {
     return false;
   }
   auto region = [&](vcuda::WarpCtx& w) {
@@ -226,9 +229,6 @@ bool run_one_round(vcuda::Block& blk, const Graph& g, std::uint32_t items,
         });
   };
   if constexpr (G == Granularity::Block) {
-    const auto edges_of = [&](std::uint32_t i) {
-      return g.degree(vertex_of(i));
-    };
     blk.for_each_warp(region, first_edgeless_warp<P>(blk, items, edges_of));
   } else {
     blk.for_each_warp(region);

@@ -162,9 +162,8 @@ Graph hub_pairs_input() {
 /// both sides of v. Every two consecutive leaves of a hub are joined by a
 /// chord, which closes a triangle through the hub (and, two apart on the
 /// leaf ring, one through the ring vertex between them); an arc from a hub
-/// to its
-/// second-largest leaf has one searching lane, so a hit there is its warp's
-/// last search round (GlobalAdd's trailing atomic).
+/// to its second-largest leaf has one searching lane, so a hit there is its
+/// warp's last search round (GlobalAdd's trailing atomic).
 Graph tc_arcs_input() {
   constexpr vid_t kN = 640;
   constexpr vid_t kHubs[] = {200, 280, 360, 440};
@@ -178,7 +177,9 @@ Graph tc_arcs_input() {
   }
   const auto nl = static_cast<vid_t>(leaves.size());
   GraphBuilder b(kN, "tcarcs-2e9");
-  for (vid_t i = 0; i < nl; ++i) b.add_undirected(leaves[i], leaves[(i + 1) % nl]);
+  for (vid_t i = 0; i < nl; ++i) {
+    b.add_undirected(leaves[i], leaves[(i + 1) % nl]);
+  }
   for (std::size_t h = 0; h < std::size(kHubs); ++h) {
     // Distinct leaves, `step` apart on the ring, spread over the id range.
     const vid_t step = std::max<vid_t>(2, nl / kHubDegree[h]);

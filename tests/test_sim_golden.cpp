@@ -943,12 +943,14 @@ TEST(SimGolden, CleanRegionsMatchPerLaneRegions) {
 TEST(SimGolden, OneRoundBlockDispatchBoundaries) {
   // Hubs of degree 32 | 33 | 256 | 257 at vertices 0 | 8 | 16 | 24 (one
   // warp-granularity block each: 8 items per block) and a self-loop at 40.
+  // Hub 24's first neighbour is vertex 1, so its first arc has u > v.
   GraphBuilder b(600, "one-round");
   const vid_t hubs[] = {0, 8, 16, 24};
   const vid_t degrees[] = {32, 33, 256, 257};
   for (std::size_t h = 0; h < std::size(hubs); ++h) {
     for (vid_t k = 0; k < degrees[h]; ++k) {
-      b.add_undirected(hubs[h], 100 + (static_cast<vid_t>(h) * 61 + k) % 500);
+      const vid_t leaf = 100 + (static_cast<vid_t>(h) * 61 + k) % 500;
+      b.add_undirected(hubs[h], h == 3 && k == 0 ? 1 : leaf);
     }
   }
   b.add_arc(40, 40);
@@ -956,24 +958,40 @@ TEST(SimGolden, OneRoundBlockDispatchBoundaries) {
   for (std::size_t h = 0; h < std::size(hubs); ++h) {
     ASSERT_EQ(g.degree(hubs[h]), degrees[h]);
   }
+  using variants::vc::kMultiRound;
   using variants::vc::one_round_block;
   const std::uint32_t n = g.num_vertices();
   auto id = [](std::uint32_t i) { return i; };
+  // The vertex kernels' count (relax.hpp): the degree of the item's
+  // vertex, and kMultiRound for an in-place style's self-loop.
+  auto vertex_edges = [&](bool in_place, auto&& vertex_of) {
+    return [&g, in_place, vertex_of](std::uint32_t i) {
+      const vid_t v = vertex_of(i);
+      return in_place && g.has_edge(v, v) ? kMultiRound : g.degree(v);
+    };
+  };
   constexpr auto kWarp = Granularity::Warp;
   constexpr auto kBlock = Granularity::Block;
   constexpr auto kNp = Persistence::NonPersistent;
   constexpr auto kP = Persistence::Persistent;
   // Non-persistent launches get their own grid: 8 items per Warp block, one
   // per Block block.
+  auto warp_edges = [&](std::uint32_t bidx, std::uint32_t items,
+                        auto&& edges_of) {
+    return one_round_block<kWarp, kNp>(bidx, (items + 7) / 8, items,
+                                       edges_of);
+  };
+  auto block_edges = [&](std::uint32_t bidx, std::uint32_t items,
+                         auto&& edges_of) {
+    return one_round_block<kBlock, kNp>(bidx, items, items, edges_of);
+  };
   auto warp = [&](std::uint32_t bidx, std::uint32_t items, bool in_place,
                   auto&& vertex_of) {
-    return one_round_block<kWarp, kNp>(g, bidx, (items + 7) / 8, items,
-                                       in_place, vertex_of);
+    return warp_edges(bidx, items, vertex_edges(in_place, vertex_of));
   };
   auto block = [&](std::uint32_t bidx, std::uint32_t items, bool in_place,
                    auto&& vertex_of) {
-    return one_round_block<kBlock, kNp>(g, bidx, items, items, in_place,
-                                        vertex_of);
+    return block_edges(bidx, items, vertex_edges(in_place, vertex_of));
   };
   // Warp granularity: the stride is 32.
   EXPECT_TRUE(warp(0, n, false, id));
@@ -1000,16 +1018,38 @@ TEST(SimGolden, OneRoundBlockDispatchBoundaries) {
   EXPECT_FALSE(block(1, 3, false, from_wl));
   EXPECT_FALSE(block(2, 3, true, from_wl));
   EXPECT_FALSE(warp(0, 3, false, from_wl));
+  // TC's edge flow: an arc (u, v) strides deg(u) edges when u < v and none
+  // otherwise, so the hub's degree decides only on the u < v side.
+  const std::uint32_t m = g.num_edges();
+  auto arc_edges = [&](std::uint32_t i) {
+    const vid_t u = g.src_list()[i], v = g.col_index()[i];
+    return u < v ? g.degree(u) : vid_t{0};
+  };
+  const std::uint32_t hub_arc[] = {g.row_index()[0], g.row_index()[8],
+                                   g.row_index()[16], g.row_index()[24]};
+  ASSERT_EQ(g.col_index()[hub_arc[3]], 1u);
+  EXPECT_EQ(arc_edges(hub_arc[3]), 0u);
+  EXPECT_TRUE(block_edges(hub_arc[3], m, arc_edges));
+  EXPECT_FALSE(block_edges(hub_arc[3] + 1, m, arc_edges));
+  EXPECT_TRUE(warp_edges(hub_arc[0] / 8, m, arc_edges));
+  EXPECT_FALSE(warp_edges(hub_arc[1] / 8, m, arc_edges));
+  EXPECT_TRUE(block_edges(hub_arc[2], m, arc_edges));
+  EXPECT_FALSE(block_edges(hub_arc[3] + 2, m, arc_edges));
+  // The leaves' arcs into the hubs have u > v: a Warp block of them is
+  // accepted whatever the hubs' degrees.
+  EXPECT_TRUE(warp_edges(g.row_index()[300] / 8, m, arc_edges));
   // Persistent launches: a group's second item comes grid * groups after
   // its first, so block bidx qualifies only while bidx * groups + grid *
   // groups >= items.
   auto warp_p = [&](std::uint32_t bidx, std::uint32_t grid,
                     std::uint32_t items, bool in_place) {
-    return one_round_block<kWarp, kP>(g, bidx, grid, items, in_place, id);
+    return one_round_block<kWarp, kP>(bidx, grid, items,
+                                      vertex_edges(in_place, id));
   };
   auto block_p = [&](std::uint32_t bidx, std::uint32_t grid,
                      std::uint32_t items, bool in_place) {
-    return one_round_block<kBlock, kP>(g, bidx, grid, items, in_place, id);
+    return one_round_block<kBlock, kP>(bidx, grid, items,
+                                       vertex_edges(in_place, id));
   };
   // Warp, grid 10 (80 warps): block 4 owns items 32-39.
   EXPECT_TRUE(warp_p(4, 10, 112, false));
@@ -1026,6 +1066,12 @@ TEST(SimGolden, OneRoundBlockDispatchBoundaries) {
   EXPECT_TRUE(block_p(16, 640, n, false));
   EXPECT_FALSE(block_p(24, 640, n, false));
   EXPECT_FALSE(block_p(40, 640, n, true));
+  // The same one-item rule for arcs: only the last arcs' blocks qualify.
+  auto arc_block_p = [&](std::uint32_t bidx) {
+    return one_round_block<kBlock, kP>(bidx, 492, m, arc_edges);
+  };
+  EXPECT_TRUE(arc_block_p(m - 492));
+  EXPECT_FALSE(arc_block_p(m - 493));
 }
 
 /// One launch of a Block-granularity push relaxation over items 0..items-1
